@@ -1,15 +1,17 @@
 (* The E8 operation mix, shared between the E8 experiment table, the
    perf baseline harness (bench/perf.ml) and the parallel sweep runner
    (bench/sweep.ml): a uniform insert/read/take blend over [classes]
-   head-tagged classes on an [n]-machine ensemble, pumped in batches
-   of 64 issues. [?batch] threads a [Net.Batch.cfg] into the system —
-   the gcast batching/coalescing layer — for on/off comparisons.
+   head-tagged classes on an [n]-machine ensemble, driven through the
+   [Shard] engine (one shard unless a caller asks for more) and pumped
+   every [pump] issues. [?batch] threads a [Net.Batch.cfg] into the
+   system — the gcast batching/coalescing layer — for on/off
+   comparisons.
 
    Timing uses the monotonic clock (bechamel's CLOCK_MONOTONIC binding),
    never [Unix.gettimeofday]: the wall-clock numbers feed a CI
    regression gate and must not jump with NTP. Each measurement does
    [warmup] throwaway runs then [reps] timed runs and reports the
-   median wall time; the simulation itself is deterministic, so the
+   minimum wall time; the simulation itself is deterministic, so the
    event/message counts are identical across repetitions. *)
 
 open Paso
@@ -45,57 +47,79 @@ let median xs =
   | [] -> invalid_arg "Mix.median: empty"
   | sorted -> List.nth sorted (List.length sorted / 2)
 
+(* The issue loop every mix shares: per issue, a machine, a head and
+   an operation kind drawn in that order from [rng]; a [Shard.run] pump
+   every [pump] issues and one at the end. The driver RNG runs on the
+   coordinator, so the issue stream — and with tracing the merged
+   trace — is byte-identical at any domain count. *)
+let drive sh rng ~n ~ops ~pump ~head ~kind =
+  for i = 1 to ops do
+    let m = Sim.Rng.int rng n in
+    let head = head rng in
+    (match kind rng with
+    | `Insert -> Shard.insert sh ~machine:m [ Value.Sym head; Value.Int i ] ~on_done:ignore
+    | `Read ->
+        Shard.read sh ~machine:m (Template.headed head [ Template.Any ]) ~on_done:ignore
+    | `Take ->
+        Shard.read_del sh ~machine:m (Template.headed head [ Template.Any ]) ~on_done:ignore);
+    if i mod pump = 0 then Shard.run sh
+  done;
+  Shard.run sh
+
+let uniform rng = match Sim.Rng.int rng 3 with 0 -> `Insert | 1 -> `Read | _ -> `Take
+
+let events sh =
+  Array.fold_left
+    (fun acc s -> acc + Sim.Engine.events_executed (System.engine s))
+    0 (Shard.systems sh)
+
 (* p99 of completed-op latency in virtual time, from the recorded
-   history (issue → return), via the shared log-bucketed histogram —
+   histories (issue → return), via the shared log-bucketed histogram —
    the same estimator the traffic harness reports. Deterministic: no
    clock involved; lower-edge reporting, ≤ 1/128 relative error. *)
-let p99_of_history h = Traffic.Hist.p99 (Traffic.Hist.of_history h)
+let p99 sh =
+  let h = Traffic.Hist.create () in
+  Array.iter
+    (fun s -> Traffic.Hist.merge ~into:h (Traffic.Hist.of_history (System.history s)))
+    (Shard.systems sh);
+  Traffic.Hist.p99 h
 
-let run_once ?batch ~n ~lambda ~classes ~ops () =
-  let sys = System.create { System.default_config with n; lambda; batch } in
+(* The deterministic metrics of a quiesced run of [ops] issues. *)
+let sim_of sh ~ops =
+  {
+    s_ops = ops;
+    s_events = events sh;
+    s_msgs = Shard.stat_count sh "net.msgs";
+    s_frames = Shard.stat_count sh "net.frames";
+    s_msg_cost = Shard.stat_total sh "net.msg_cost";
+    s_p99_latency = p99 sh;
+  }
+
+(* One run of the uniform blend: its wall time, allocation and the
+   quiesced engine. E8 pumps every 64 issues. The sharded perf rows
+   pump every 1024: each pump is a full parallel round (a
+   Domain.spawn/join fan-out at D > 1), so per-round per-shard work
+   must amortise the fork cost — at 64 the harness would measure
+   domain creation, not the engine. *)
+let run_once ?(tracing = false) ?batch ?(shards = 1) ?(domains = 1) ?(pump = 64) ~n
+    ~lambda ~classes ~ops () =
+  let sh =
+    Shard.create ~tracing ~shards ~domains { System.default_config with n; lambda; batch }
+  in
   let rng = Sim.Rng.make 99 in
   let heads = Array.init classes (fun i -> Printf.sprintf "c%d" i) in
   let a0 = Gc.allocated_bytes () in
   let t0 = now_s () in
-  for i = 1 to ops do
-    let m = Sim.Rng.int rng n in
-    let head = Sim.Rng.choice rng heads in
-    (match Sim.Rng.int rng 3 with
-    | 0 ->
-        System.insert sys ~machine:m
-          [ Value.Sym head; Value.Int i ]
-          ~on_done:(fun () -> ())
-    | 1 ->
-        System.read sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ())
-    | _ ->
-        System.read_del sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ()));
-    if i mod 64 = 0 then System.run sys
-  done;
-  System.run sys;
+  drive sh rng ~n ~ops ~pump ~head:(fun rng -> Sim.Rng.choice rng heads) ~kind:uniform;
   let wall = now_s () -. t0 in
-  let alloc = Gc.allocated_bytes () -. a0 in
-  let stats = System.stats sys in
-  ( wall,
-    alloc,
-    {
-      s_ops = ops;
-      s_events = Sim.Engine.events_executed (System.engine sys);
-      s_msgs = Sim.Stats.count stats "net.msgs";
-      s_frames = Sim.Stats.count stats "net.frames";
-      s_msg_cost = Sim.Stats.total stats "net.msg_cost";
-      s_p99_latency = p99_of_history (System.history sys);
-    } )
+  (wall, Gc.allocated_bytes () -. a0, sh)
 
 (* Simulation-only entry point for the sweep runner: no warmup, no
    repetitions, no wall numbers — the result is a pure function of the
    arguments. *)
 let run_sim ?batch ~n ~lambda ~classes ~ops () =
-  let _, _, s = run_once ?batch ~n ~lambda ~classes ~ops () in
-  s
+  let _, _, sh = run_once ?batch ~n ~lambda ~classes ~ops () in
+  sim_of sh ~ops
 
 (* Read-heavy mix for the fast-read gate: 1 insert : 1 take : 8 reads
    per 10 draws (>= 80% reads) over a standing population seeded before
@@ -114,89 +138,38 @@ let run_sim ?batch ~n ~lambda ~classes ~ops () =
    real mutation races in the window (the fallback counter stays well
    above zero). *)
 let run_read_heavy ?batch ?(fast_read = false) ~n ~lambda ~classes ~ops () =
-  let sys = System.create { System.default_config with n; lambda; batch; fast_read } in
+  let sh =
+    Shard.create ~shards:1 { System.default_config with n; lambda; batch; fast_read }
+  in
   let rng = Sim.Rng.make 77 in
   let heads = Array.init classes (fun i -> Printf.sprintf "c%d" i) in
   Array.iteri
     (fun ci head ->
       for j = 0 to 3 do
-        System.insert sys ~machine:((ci + j) mod n)
+        Shard.insert sh ~machine:((ci + j) mod n)
           [ Value.Sym head; Value.Int (-1 - j) ]
-          ~on_done:(fun () -> ())
+          ~on_done:ignore
       done)
     heads;
-  System.run sys;
-  let stats = System.stats sys in
-  let msgs0 = Sim.Stats.count stats "net.msgs" in
-  let frames0 = Sim.Stats.count stats "net.frames" in
-  let cost0 = Sim.Stats.total stats "net.msg_cost" in
-  let events0 = Sim.Engine.events_executed (System.engine sys) in
-  for i = 1 to ops do
-    let m = Sim.Rng.int rng n in
-    let head = Sim.Rng.choice rng heads in
-    (match Sim.Rng.int rng 10 with
-    | 0 ->
-        System.insert sys ~machine:m
-          [ Value.Sym head; Value.Int i ]
-          ~on_done:(fun () -> ())
-    | 1 ->
-        System.read_del sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ())
-    | _ ->
-        System.read sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ()));
-    if i mod 8 = 0 then System.run sys
-  done;
-  System.run sys;
+  Shard.run sh;
+  let msgs0 = Shard.stat_count sh "net.msgs" in
+  let frames0 = Shard.stat_count sh "net.frames" in
+  let cost0 = Shard.stat_total sh "net.msg_cost" in
+  let events0 = events sh in
+  drive sh rng ~n ~ops ~pump:8
+    ~head:(fun rng -> Sim.Rng.choice rng heads)
+    ~kind:(fun rng ->
+      match Sim.Rng.int rng 10 with 0 -> `Insert | 1 -> `Take | _ -> `Read);
   ( {
       s_ops = ops;
-      s_events = Sim.Engine.events_executed (System.engine sys) - events0;
-      s_msgs = Sim.Stats.count stats "net.msgs" - msgs0;
-      s_frames = Sim.Stats.count stats "net.frames" - frames0;
-      s_msg_cost = Sim.Stats.total stats "net.msg_cost" -. cost0;
-      s_p99_latency = p99_of_history (System.history sys);
+      s_events = events sh - events0;
+      s_msgs = Shard.stat_count sh "net.msgs" - msgs0;
+      s_frames = Shard.stat_count sh "net.frames" - frames0;
+      s_msg_cost = Shard.stat_total sh "net.msg_cost" -. cost0;
+      s_p99_latency = p99 sh;
     },
-    Sim.Stats.count stats "paso.fast_reads",
-    Sim.Stats.count stats "paso.fast_read_fallbacks" )
-
-(* ---- sharded E8 mix (multi-domain engine) ----
-
-   The same operation blend driven through [Shard]: classes partition
-   across [shards] engine shards, shard engines run on [domains]
-   domains between pumps. Pumped every 1024 issues, not 64: each pump
-   is a full parallel round (a Domain.spawn/join fan-out at D > 1), so
-   per-round per-shard work must amortise the fork cost — at 64 the
-   harness would measure domain creation, not the engine. The driver
-   RNG runs on the coordinator, so the issue stream — and with
-   [~tracing] the merged trace — is byte-identical at any D. *)
-let run_once_sharded ?(tracing = false) ~shards ~domains ~n ~lambda ~classes ~ops () =
-  let sh = Shard.create ~tracing ~shards ~domains { System.default_config with n; lambda } in
-  let rng = Sim.Rng.make 99 in
-  let heads = Array.init classes (fun i -> Printf.sprintf "c%d" i) in
-  let t0 = now_s () in
-  for i = 1 to ops do
-    let m = Sim.Rng.int rng n in
-    let head = Sim.Rng.choice rng heads in
-    (match Sim.Rng.int rng 3 with
-    | 0 ->
-        Shard.insert sh ~machine:m
-          [ Value.Sym head; Value.Int i ]
-          ~on_done:(fun () -> ())
-    | 1 ->
-        Shard.read sh ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ())
-    | _ ->
-        Shard.read_del sh ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ()));
-    if i mod 1024 = 0 then Shard.run sh
-  done;
-  Shard.run sh;
-  let wall = now_s () -. t0 in
-  (wall, sh)
+    Shard.stat_count sh "paso.fast_reads",
+    Shard.stat_count sh "paso.fast_read_fallbacks" )
 
 (* ---- Zipf-skewed sharded mix (the rebalancing workload) ----
 
@@ -257,27 +230,8 @@ let run_skewed_sharded ?(tracing = false) ?rebalance ~shards ~domains ~n ~lambda
   let heads = skewed_heads ~cfg ~shards ~classes in
   let sample = zipf_sampler ~classes ~s:zipf in
   let t0 = now_s () in
-  for i = 1 to ops do
-    let m = Sim.Rng.int rng n in
-    let head = heads.(sample rng) in
-    (match Sim.Rng.int rng 3 with
-    | 0 ->
-        Shard.insert sh ~machine:m
-          [ Value.Sym head; Value.Int i ]
-          ~on_done:(fun () -> ())
-    | 1 ->
-        Shard.read sh ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ())
-    | _ ->
-        Shard.read_del sh ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ()));
-    if i mod 1024 = 0 then Shard.run sh
-  done;
-  Shard.run sh;
-  let wall = now_s () -. t0 in
-  (wall, sh)
+  drive sh rng ~n ~ops ~pump:1024 ~head:(fun rng -> heads.(sample rng)) ~kind:uniform;
+  (now_s () -. t0, sh)
 
 (* Minimum wall over reps; also hands back the last run's shard handle
    so the caller can read migration counters and per-shard loads. *)
@@ -295,28 +249,24 @@ let measure_skewed_sharded ?(warmup = 1) ?(reps = 3) ?rebalance ~shards ~domains
   let _, sh = List.nth runs (reps - 1) in
   (wall, sh)
 
-(* Minimum wall over repetitions, like [measure] (noise is additive). *)
-let measure_sharded ?(warmup = 1) ?(reps = 3) ~shards ~domains ~n ~lambda ~classes ~ops () =
-  Gc.compact ();
-  for _ = 1 to warmup do
-    ignore (run_once_sharded ~shards ~domains ~n ~lambda ~classes ~ops ())
-  done;
-  let walls =
-    List.init reps (fun _ ->
-        fst (run_once_sharded ~shards ~domains ~n ~lambda ~classes ~ops ()))
-  in
-  List.fold_left Float.min Float.infinity walls
-
-let measure ?(warmup = 1) ?(reps = 3) ?batch ~n ~lambda ~classes ~ops () =
+let measure ?(warmup = 1) ?(reps = 3) ?batch ?shards ?domains ?pump ~n ~lambda ~classes
+    ~ops () =
   (* Shed whatever heap the caller (e.g. the kernel suite running
      before the mix in perf.exe) left behind: a large fragmented major
      heap measurably depresses the mix and would make the number depend
      on what ran first. *)
   Gc.compact ();
+  let once () = run_once ?batch ?shards ?domains ?pump ~n ~lambda ~classes ~ops () in
   for _ = 1 to warmup do
-    ignore (run_once ?batch ~n ~lambda ~classes ~ops ())
+    ignore (once ())
   done;
-  let runs = List.init reps (fun _ -> run_once ?batch ~n ~lambda ~classes ~ops ()) in
+  (* Each run's engine is reduced to its metrics at once, so no rep
+     times itself against the heap of an earlier one. *)
+  let runs =
+    List.init reps (fun _ ->
+        let w, a, sh = once () in
+        (w, a, sim_of sh ~ops))
+  in
   let walls = List.map (fun (w, _, _) -> w) runs in
   let allocs = List.map (fun (_, a, _) -> a) runs in
   let _, _, s = List.hd runs in

@@ -428,8 +428,8 @@ let sharding_profile ~reps ~fast =
   let shards = 8 in
   let ops = if fast then 4000 else 12000 in
   let digest d =
-    let _, sh =
-      Mix.run_once_sharded ~tracing:true ~shards ~domains:d ~n ~lambda ~classes
+    let _, _, sh =
+      Mix.run_once ~tracing:true ~shards ~domains:d ~pump:1024 ~n ~lambda ~classes
         ~ops:512 ()
     in
     Digest.to_hex (Digest.string (Shard.rendered_trace sh))
@@ -446,11 +446,11 @@ let sharding_profile ~reps ~fast =
   let rows =
     List.map
       (fun d ->
-        let wall =
-          Mix.measure_sharded ~warmup:1 ~reps ~shards ~domains:d ~n ~lambda ~classes
-            ~ops ()
+        let ops_s =
+          Mix.ops_per_s
+            (Mix.measure ~warmup:1 ~reps ~shards ~domains:d ~pump:1024 ~n ~lambda ~classes
+               ~ops ())
         in
-        let ops_s = float_of_int ops /. Float.max 1e-12 wall in
         Printf.printf "  sharded mix S=%d D=%d:   %10.0f ops/s\n%!" shards d ops_s;
         (d, ops_s))
       shard_sweep

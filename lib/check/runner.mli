@@ -26,30 +26,26 @@ val policy_of_string : string -> Paso.Policy.t
     @raise Invalid_argument on anything else. *)
 
 val run : ?domains:int -> Schedule.config -> Schedule.step list -> outcome
-(** Configs with [shards <= 1] run the plain single-{!Paso.System}
-    drive loop; [shards > 1] run the {!Paso.Shard} sharded one.
+(** Drive the schedule through a {!Paso.Shard} of [max 1 shards]
+    engine shards (an unsharded config is the 1-shard composition).
     [domains] (default 1) only schedules shard engines onto OCaml
-    domains — the outcome is byte-identical for any value, and it is
-    ignored entirely by the unsharded path.
+    domains — the outcome is byte-identical for any value.
     @raise Invalid_argument on a malformed config (unknown classing /
     storage / policy / repair name, or an unknown arm action), or on a
-    sharded config carrying per-System failpoint arms (they are
-    per-shard and would desynchronise the shards' mirrored up/down
-    state). Arms naming coordinator sites (["rebalance.*"], crash
-    actions only) are accepted with [shards > 1]: they fire on the
-    coordinating domain at a round barrier and their crashes fan out
-    across every shard like a scheduled Crash step. *)
+    config with [shards > 1] carrying per-System failpoint arms (they
+    are per-shard and would desynchronise the shards' mirrored
+    up/down state). Per-System arms arm shard 0's registry. Arms
+    naming coordinator sites (["rebalance.*"]) arm
+    {!Paso.Shard.failpoints} and accept crash actions only: they fire
+    on the coordinating domain at a round barrier and their crashes
+    fan out across every shard like a scheduled Crash step. *)
 
-val run_with_system : Schedule.config -> Schedule.step list -> outcome * Paso.System.t
-(** As {!run} restricted to the unsharded path, also exposing the
-    quiescent system for deeper inspection (tests use it to audit
-    stats and groups). *)
-
-val run_sharded :
+val run_with_shard :
   ?domains:int -> Schedule.config -> Schedule.step list -> outcome * Paso.Shard.t
-(** The sharded drive loop, exposing the quiescent shard composition
-    (tests use it for the cross-shard atomicity audit). Requires
-    [shards >= 1] in the config; arms are refused as in {!run}. *)
+(** As {!run}, also exposing the quiescent shard composition for
+    deeper inspection (tests audit its stats, groups and cross-shard
+    atomicity; [Shard.sub sh 0] is the whole system of an unsharded
+    config). *)
 
 val failure_signature : outcome -> string option
 (** The [inv] name of the first violation, if any — the shrinker's

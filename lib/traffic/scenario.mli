@@ -7,7 +7,7 @@
     {e phases} — each with its own duration, arrival process and
     operation mix. Everything that happens in a run is a pure function
     of the scenario plus its seed, which is what lets the driver pin
-    byte-identical replays across engine backends and domain counts.
+    byte-identical replays across domain counts.
 
     Scenarios round-trip through JSON ({!to_json} / {!of_json}), so
     they can live in files, ride CI artifacts, and be diffed. A library

@@ -5,7 +5,7 @@
    histories to prove the semantics checker catches each corruption. *)
 
 open Paso
-module Failpoint = Check.Failpoint
+module Failpoint = Sim.Failpoint
 
 (* ---- Json ---- *)
 

@@ -5,7 +5,7 @@
    test_recovery.ml. *)
 
 open Paso
-module Failpoint = Check.Failpoint
+module Failpoint = Sim.Failpoint
 
 (* --- Crc -------------------------------------------------------------------- *)
 

@@ -1,11 +1,11 @@
 (* The eight protocol findings of DESIGN.md §6, each pinned as a
    deterministic regression driven through the failpoint registry
-   (Check.Failpoint): the exact crash timings that randomised testing
+   (Sim.Failpoint): the exact crash timings that randomised testing
    needed thousands of schedules to hit are forced directly at the
    planted injection sites. *)
 
 open Paso
-module Failpoint = Check.Failpoint
+module Failpoint = Sim.Failpoint
 
 let mk ?(n = 8) ?(lambda = 2) ?repair ?topology ?batch () =
   let fps = Failpoint.create () in

@@ -6,7 +6,7 @@
    the failpoint sites. *)
 
 open Paso
-module Failpoint = Check.Failpoint
+module Failpoint = Sim.Failpoint
 
 let mk ?(n = 8) ?(lambda = 2) ?(durable = true) ?policy () =
   let fps = Failpoint.create () in

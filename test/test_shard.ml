@@ -104,8 +104,8 @@ let test_domain_independence () =
 let test_stats_merge_independent () =
   let config = { Check.Schedule.default with shards = 4; seed = 3 } in
   let steps = Check.Fuzz.gen_steps (Sim.Rng.make 99) ~len:120 in
-  let _, t1 = Check.Runner.run_sharded ~domains:1 config steps in
-  let _, t3 = Check.Runner.run_sharded ~domains:3 config steps in
+  let _, t1 = Check.Runner.run_with_shard ~domains:1 config steps in
+  let _, t3 = Check.Runner.run_with_shard ~domains:3 config steps in
   let keys = Shard.stat_keys t1 in
   Alcotest.(check (list string)) "same stat keys" keys (Shard.stat_keys t3);
   List.iter
@@ -208,20 +208,6 @@ let test_replay_pin () =
       let o2 = Check.Runner.run ~domains:2 a'.Check.Artifact.a_config a'.Check.Artifact.a_steps in
       Alcotest.(check string) "replayed digest" o1.Check.Runner.trace_digest
         o2.Check.Runner.trace_digest
-
-(* Shard 0 of any sharded system is seeded with stream 0 = the config
-   seed itself: a 1-shard Shard.t is byte-identical to the plain
-   System on the same schedule. *)
-let test_single_shard_equals_system () =
-  let config = { Check.Schedule.default with seed = 17 } in
-  let steps = Check.Fuzz.gen_steps (Sim.Rng.make 17) ~len:100 in
-  let plain = Check.Runner.run config steps in
-  let sharded, _ = Check.Runner.run_sharded { config with shards = 1 } steps in
-  Alcotest.(check string) "1-shard trace == plain System trace"
-    plain.Check.Runner.trace_digest sharded.Check.Runner.trace_digest;
-  Alcotest.(check int) "same ops" plain.Check.Runner.ops sharded.Check.Runner.ops;
-  Alcotest.(check int) "same completions" plain.Check.Runner.completed
-    sharded.Check.Runner.completed
 
 (* ------------------------------------------------------------------ *)
 (* Load-aware class migration (Core.Rebalance + the Shard overlay)     *)
@@ -448,8 +434,6 @@ let () =
           Alcotest.test_case "200 schedules, D in {1,2,4}" `Quick test_domain_independence;
           Alcotest.test_case "merged stats independent of D" `Quick
             test_stats_merge_independent;
-          Alcotest.test_case "1 shard == plain system" `Quick
-            test_single_shard_equals_system;
           Alcotest.test_case "sharded replay pin + artifact round-trip" `Quick
             test_replay_pin;
         ] );

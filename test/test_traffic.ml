@@ -1,8 +1,8 @@
 (* The traffic harness (lib/traffic): histogram quantile pins and
    accuracy bound, scenario JSON round-trip and malformed-input errors,
-   the replay determinism pins (bare ≡ 1-shard; a fixed shard count is
-   byte-identical at any domain count), and a flash-crowd run through
-   the §2 invariant checks.
+   the replay determinism pins (a literal 1-shard pin; a fixed shard
+   count is byte-identical at any domain count), and a flash-crowd run
+   through the §2 invariant checks.
 
    Set PASO_PIN_PRINT=1 to print actual values when intentionally
    re-pinning. *)
@@ -217,15 +217,21 @@ let digests o =
   ( (match o.Traffic.Driver.o_trace_digest with Some d -> d | None -> "-"),
     o.Traffic.Driver.o_hist_digest )
 
+(* The default (1-shard) replay of [small], pinned to the digests the
+   plain unsharded System produced on it before every driver moved onto
+   the shard engine. *)
+let small_pin = ("0ed04fdcbbe8c9ee905727c8d73d9036", "41c0f07502ab5bc775266fe22476a3a5")
+
 let test_replay_pins () =
   (match Traffic.Scenario.validate small with
   | Ok () -> ()
   | Error e -> Alcotest.failf "small scenario invalid: %s" e);
-  let bare = Traffic.Driver.run ~tracing:true small in
-  Alcotest.(check bool) "issues something" true (bare.Traffic.Driver.o_issued > 100);
-  (* bare ≡ the 1-shard composition, trace and histogram *)
-  let s1 = Traffic.Driver.run ~tracing:true ~shards:1 ~domains:1 small in
-  Alcotest.(check (pair string string)) "bare = 1-shard" (digests bare) (digests s1);
+  let s1 = Traffic.Driver.run ~tracing:true small in
+  if printing then
+    Format.printf "replay pin S=1: trace=%s hist=%s issued=%d@." (fst (digests s1))
+      (snd (digests s1)) s1.Traffic.Driver.o_issued;
+  Alcotest.(check int) "issued" 330 s1.Traffic.Driver.o_issued;
+  Alcotest.(check (pair string string)) "small digest pin" small_pin (digests s1);
   (* a fixed shard count is byte-identical at any domain count *)
   let sweep = List.map (fun d -> Traffic.Driver.run ~tracing:true ~shards:4 ~domains:d small) [ 1; 2; 4 ] in
   (match sweep with
@@ -245,7 +251,7 @@ let test_replay_pins () =
   (* the driver's reruns are reproducible in-process (fresh RNGs, no
      global state left behind by the previous run) *)
   let again = Traffic.Driver.run ~tracing:true small in
-  Alcotest.(check (pair string string)) "rerun reproduces" (digests bare) (digests again)
+  Alcotest.(check (pair string string)) "rerun reproduces" (digests s1) (digests again)
 
 (* ------------------------------------------------------------------ *)
 (* Self-similar arrivals                                               *)
@@ -336,7 +342,7 @@ let () =
         ] );
       ( "replay",
         [
-          Alcotest.test_case "bare/sharded, D in {1,2,4}" `Quick test_replay_pins;
+          Alcotest.test_case "1-shard pin, S=4 D in {1,2,4}" `Quick test_replay_pins;
           Alcotest.test_case "web_selfsim digest pin" `Quick test_selfsim_pin;
         ] );
       ( "invariants",
