@@ -688,61 +688,6 @@ let adaptive_profile () =
         J.Obj (doubling_rows @ [ ("worst_ratio", J.Num (worst doubling_rows)) ]) );
     ]
 
-(* ---- cluster-local marker wakes (E13) ----
-
-   The satellite score for [cluster_markers]: a 3-cluster WAN ensemble
-   parks a blocking taker on every machine, then a single producer
-   satisfies them one at a time — each insert wakes every parked
-   marker, so the wake path dominates the run's WAN traffic. Virtual
-   time only, so the off/on rows are deterministic on any host. The
-   knob reroutes each wake to a write-group member in the waiter's own
-   cluster when one exists; it never moves the markers themselves
-   (every write-group member keeps one — a restricted placement would
-   lose wakes across leader changes). *)
-let cluster_markers_run ~on =
-  let n = 12 in
-  let clusters = Array.init n (fun m -> m / 4) in
-  let sys =
-    System.create
-      {
-        System.default_config with
-        n;
-        lambda = 5;
-        cluster_markers = on;
-        topology =
-          System.Wan { clusters; remote = Net.Cost_model.v ~alpha:5000.0 ~beta:4.0 };
-      }
-  in
-  let woken = ref 0 in
-  for m = 0 to n - 1 do
-    System.read_del_blocking sys ~machine:m
-      (Template.headed "tok" [ Template.Any ])
-      ~on_done:(fun _ -> incr woken)
-  done;
-  System.run sys;
-  for i = 1 to n do
-    System.insert sys ~machine:0 [ Value.Sym "tok"; Value.Int i ] ~on_done:(fun () -> ());
-    System.run sys
-  done;
-  (!woken, Sim.Stats.count (System.stats sys) "net.wan_msgs", System.wan_cost sys)
-
-let markers_profile () =
-  let report on =
-    let woken, wan_msgs, wan_cost = cluster_markers_run ~on in
-    if woken <> 12 then begin
-      Printf.eprintf "markers: %d of 12 takers woke (cluster_markers %b)\n" woken on;
-      exit 1
-    end;
-    Printf.printf "  markers cluster_markers=%-5b wan msgs %6d  wan cost %12.0f\n%!" on
-      wan_msgs wan_cost;
-    ( (if on then "on" else "off"),
-      J.Obj [ ("wan_msgs", J.Num (float_of_int wan_msgs)); ("wan_cost", J.Num wan_cost) ]
-    )
-  in
-  let off = report false in
-  let on = report true in
-  J.Obj [ off; on ]
-
 (* ---- profile assembly ---- *)
 
 let acceptance = (32, 2, 8, 3000) (* n, lambda, classes, ops *)
@@ -794,7 +739,6 @@ let profile ~fast =
   let recovery = recovery_profile ~reps ~ops:(if fast then 400 else 1200) in
   let op_lifecycle = op_lifecycle_profile ~ops:(if fast then 1000 else 3000) in
   let adaptive = adaptive_profile () in
-  let markers = markers_profile () in
   let slo = slo_profile ~domains:!slo_domains in
   J.Obj
     [
@@ -813,7 +757,6 @@ let profile ~fast =
       ("recovery", recovery);
       ("op_lifecycle", op_lifecycle);
       ("adaptive", adaptive);
-      ("markers", markers);
       ("slo", slo);
     ]
 
@@ -924,9 +867,6 @@ let gate_against ~path ~tol fresh =
                  within their theorem bounds before the gate runs *)
               [ "adaptive"; "counter"; "worst_ratio" ];
               [ "adaptive"; "doubling"; "worst_ratio" ];
-              (* E13: WAN wake traffic with cluster-local marker wakes
-                 on must never regress *)
-              [ "markers"; "on"; "wan_msgs" ];
             ]
             (* SLO rows: tail latency of every shipped traffic scenario.
                Virtual-time quantiles, so the fixed sim tolerance
@@ -1013,10 +953,9 @@ let () =
         J.Obj
           [ ("rebalance", rebalance_profile ~reps:(if !fast then 2 else 3) ~fast:!fast) ]
     | "adaptive" ->
-        (* just the deterministic E15 competitiveness rows and the E13
-           cluster-marker wake scoring — both virtual-time only, with
-           the theorem-bound asserts armed *)
-        J.Obj [ ("adaptive", adaptive_profile ()); ("markers", markers_profile ()) ]
+        (* just the deterministic E15 competitiveness rows — virtual
+           time only, with the theorem-bound asserts armed *)
+        J.Obj [ ("adaptive", adaptive_profile ()) ]
     | s ->
         Printf.eprintf
           "perf: unknown --only section %S (supported: slo, rebalance, adaptive)\n" s;

@@ -18,9 +18,6 @@ type config = {
   use_read_groups : bool;
   eager_reads : bool;
   fast_read : bool;
-  wan_latency_aware : bool;
-  bgop_reads : bool;
-  cluster_markers : bool;
   batch : Net.Batch.cfg option;
   policy : Policy.t;
   init_delay : float;
@@ -28,7 +25,6 @@ type config = {
   repair : Repair.strategy option;
   op_deadline : float option;
   retry_budget : int option;
-  retry_backoff : float;
   seed : int;
 }
 
@@ -44,9 +40,6 @@ let default_config =
     use_read_groups = true;
     eager_reads = false;
     fast_read = false;
-    wan_latency_aware = false;
-    bgop_reads = false;
-    cluster_markers = false;
     batch = None;
     policy = Policy.static;
     init_delay = 5000.0;
@@ -54,7 +47,6 @@ let default_config =
     repair = None;
     op_deadline = None;
     retry_budget = None;
-    retry_backoff = 0.0;
     seed = 42;
   }
 
@@ -67,8 +59,7 @@ let validate cfg =
   | Some _ | None -> ());
   (match cfg.retry_budget with
   | Some b when b < 0 -> invalid_arg "System.create: negative retry_budget"
-  | Some _ | None -> ());
-  if cfg.retry_backoff < 0.0 then invalid_arg "System.create: negative retry_backoff"
+  | Some _ | None -> ())
 
 (* Evidence a completed snapshot leaves behind for the checker: per
    candidate class, the mutation serial captured when its accepted

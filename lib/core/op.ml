@@ -16,9 +16,9 @@ let stage_index = function
   | Done -> 4
   | Failed -> 5
 
-type cfg = { deadline : float option; retry_budget : int option; retry_backoff : float }
+type cfg = { deadline : float option; retry_budget : int option }
 
-let default_cfg = { deadline = None; retry_budget = None; retry_backoff = 0.0 }
+let default_cfg = { deadline = None; retry_budget = None }
 
 type ctl = {
   engine : Sim.Engine.t;
@@ -101,17 +101,7 @@ let retry op k =
         op.o_retries <- op.o_retries + 1;
         enter op Retrying;
         Sim.Stats.incr_counter op.ctl.c_retries;
-        let backoff = op.ctl.cfg.retry_backoff in
-        if backoff <= 0.0 then k ()
-        else begin
-          (* Exponential backoff; the event is dropped (not cancelled)
-             if the op terminates first — the [terminal] guard makes a
-             stale re-query a no-op. *)
-          let delay = backoff *. Float.pow 2.0 (float_of_int (op.o_retries - 1)) in
-          ignore
-            (Sim.Engine.schedule op.ctl.engine ~delay (fun () ->
-                 if not (terminal op) then k ()))
-        end;
+        k ();
         true
 
 let arm_deadline op ~on_expire =

@@ -18,10 +18,10 @@
     - an optional {b deadline} — virtual time after which the op
       terminates with fail whatever is still in flight;
     - an optional {b retry budget} — a cap on re-queries (probation
-      straddles, zero-responder retries), with exponential
-      {b backoff} between them.
+      straddles, zero-responder retries); a granted re-query runs
+      immediately, in the same event.
 
-    All three default to {e off} ({!default_cfg}), in which state this
+    Both default to {e off} ({!default_cfg}), in which state this
     module schedules nothing and never refuses a transition — the
     system's event schedule is byte-identical to the pre-Op code, which
     is what keeps the pinned determinism artifacts valid. *)
@@ -43,18 +43,14 @@ type cfg = {
       (** virtual-time budget per op, [None] = unbounded (default) *)
   retry_budget : int option;
       (** max re-queries per op, [None] = unbounded (default) *)
-  retry_backoff : float;
-      (** delay before the [k]-th re-query: [backoff * 2^(k-1)];
-          [0.0] (default) re-queries immediately, preserving the
-          pre-Op event schedule exactly *)
 }
 
 val default_cfg : cfg
-(** Everything off: no deadline, unbounded retries, no backoff. *)
+(** Everything off: no deadline, unbounded retries. *)
 
 type ctl
-(** Per-system controller: the engine that schedules deadlines and
-    backoffs, the interned stage-counter bank, and the {!cfg}. *)
+(** Per-system controller: the engine that schedules deadlines, the
+    interned stage-counter bank, and the {!cfg}. *)
 
 val ctl : engine:Sim.Engine.t -> stats:Sim.Stats.t -> trace:Sim.Trace.t -> cfg -> ctl
 
@@ -89,9 +85,8 @@ val finish : t -> ok:bool -> bool
 
 val retry : t -> (unit -> unit) -> bool
 (** Request a re-query. Within budget: transitions to {!Retrying},
-    counts ["paso.op.retries"], runs the continuation — immediately
-    when [retry_backoff] is [0.0] (no event scheduled), else after the
-    exponential-backoff delay. Out of budget: counts
+    counts ["paso.op.retries"] and runs the continuation immediately,
+    in the same event (nothing is scheduled). Out of budget: counts
     ["paso.op.budget_exhausted"], returns [false], and the caller
     terminates the op with fail. Always [true] with the default
     (unbounded) budget. *)

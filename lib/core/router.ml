@@ -17,21 +17,6 @@ type t = {
   lambda : int;
   topology : topology;
   batching : bool;
-  latency_aware : bool;
-  (* Reliability ordering of read candidates, supplied by
-     [Replication.order_reads] (BGOP tiers over observed crash
-     history). The identity unless [config.bgop_reads] is on AND
-     failure histories actually differ, so the default pick is
-     byte-identical to the unordered router. *)
-  order_reads : int list -> int list;
-  cluster_markers : bool;
-  (* Per-machine EWMA of observed read-response latency (virtual time),
-     fed by [fan_out_read] when [latency_aware]; [lat_n.(m) = 0] means
-     never observed, which sorts as 0 — optimistic, so unprobed
-     replicas still get tried and an all-zero table leaves the
-     restriction byte-identical to the latency-blind one. *)
-  lat : float array;
-  lat_n : int array;
   mem : Membership.t;
   mutable r_vs : Membership.vsync option;
   (* sc-list memoisation: the classing strategy is fixed per system, so
@@ -49,18 +34,12 @@ type t = {
   c_marker_placements : Sim.Stats.counter;
 }
 
-let create ~classing ~lambda ~topology ~batching ~latency_aware ~order_reads
-    ~cluster_markers ~n ~mem ~stats =
+let create ~classing ~lambda ~topology ~batching ~mem ~stats =
   {
     classing;
     lambda;
     topology;
     batching;
-    latency_aware;
-    order_reads;
-    cluster_markers;
-    lat = Array.make n 0.0;
-    lat_n = Array.make n 0;
     mem;
     r_vs = None;
     sc_cache = Hashtbl.create 64;
@@ -173,48 +152,16 @@ let sc_list r tmpl =
 
 (* --- read-group restriction --------------------------------------------- *)
 
-(* Latency-weighted replica observation (WAN read steering, §4.3): the
-   read fan-out records how long each restricted pick took to answer;
-   the EWMA feeds the ordering below. Virtual-time observations, so the
-   table — like everything else — is deterministic. *)
-let observe_read_latency r ~machine dt =
-  if machine >= 0 && machine < Array.length r.lat then
-    if r.lat_n.(machine) = 0 then begin
-      r.lat_n.(machine) <- 1;
-      r.lat.(machine) <- dt
-    end
-    else begin
-      r.lat_n.(machine) <- r.lat_n.(machine) + 1;
-      r.lat.(machine) <- (0.8 *. r.lat.(machine)) +. (0.2 *. dt)
-    end
-
-let observed_latency r ~machine =
-  if machine >= 0 && machine < Array.length r.lat && r.lat_n.(machine) > 0 then
-    Some r.lat.(machine)
-  else None
-
 let read_restrict r ~basic ~machine =
-  (* Stable, so ties — including the virgin all-zero table — preserve
-     member order and the restriction stays byte-identical to the
-     latency-blind path until observations actually differ. *)
-  let order ms =
-    if not r.latency_aware then ms
-    else List.stable_sort (fun a b -> Float.compare r.lat.(a) r.lat.(b)) ms
-  in
   let basic_rg members =
     let basic_up = List.filter (fun m -> List.mem m basic) members in
     if basic_up <> [] then basic_up
     else List.filteri (fun i _ -> i <= r.lambda) members
   in
   match r.topology with
-  (* [order_reads] (BGOP reliability tiers) runs after the latency
-     order, so reliability is the primary key and observed latency
-     breaks ties within a tier. Both orderings are stable identities
-     until their inputs actually differ. *)
-  | Lan -> fun members -> basic_rg (r.order_reads members)
+  | Lan -> basic_rg
   | Wan { clusters; _ } ->
       fun members ->
-        let members = r.order_reads (order members) in
         let near = List.filter (fun m -> clusters.(m) = clusters.(machine)) members in
         if near <> [] then List.filteri (fun i _ -> i <= r.lambda) near
         else basic_rg members
@@ -249,29 +196,6 @@ let fan_out_batched r ~group ~from msg ~on_done =
     msg
 
 let fan_out_read r ~restrict ~eager ~group ~from msg ~on_done =
-  (* Under [latency_aware], wrap the restriction to capture the set it
-     actually picked (computed at gcast exec time) and the completion to
-     credit the issue→response interval to each pick. The wrap changes
-     no pick and no message — observation only. *)
-  let restrict, on_done =
-    if not r.latency_aware then (restrict, on_done)
-    else begin
-      let clock () = Sim.Engine.now (Vsync.engine (vs r)) in
-      let chosen = ref [] in
-      let t0 = clock () in
-      let restrict' ms =
-        let picks = restrict ms in
-        chosen := picks;
-        picks
-      in
-      let on_done' resp responders =
-        let dt = clock () -. t0 in
-        List.iter (fun m -> observe_read_latency r ~machine:m dt) !chosen;
-        on_done resp responders
-      in
-      (restrict', on_done')
-    end
-  in
   if r.batching then
     Vsync.gcast_batch (vs r) ~restrict ~group ~from ~msg_size:(Server.msg_size msg)
       ~on_done:(fun ~resp ~work:_ ~responders -> on_done resp responders)
@@ -311,20 +235,11 @@ let place_markers r (w : Op.waiter) =
 (* The member that serves a marker's wake-up once a matching store
    fires it. Markers are replicated to the full write group (a marker
    missing at a future leader would lose the wake), so every member may
-   volunteer; by default the leader — the head of the member list —
-   does. Under [cluster_markers] on a WAN the preference moves to the
-   first member in the waiter's own cluster, keeping the α-cost wake
-   message off the remote links. Deterministic: every replica computes
-   the same agent from the same view, so exactly one member sends. *)
-let wake_agent r ~group ~machine =
-  let members = Vsync.members (vs r) ~group in
-  let default = match members with m :: _ -> m | [] -> -1 in
-  match r.topology with
-  | Wan { clusters; _ } when r.cluster_markers -> (
-      match List.find_opt (fun m -> clusters.(m) = clusters.(machine)) members with
-      | Some m -> m
-      | None -> default)
-  | Wan _ | Lan -> default
+   volunteer; the leader — the head of the member list — does.
+   Deterministic: every replica computes the same agent from the same
+   view, so exactly one member sends. *)
+let wake_agent r ~group =
+  match Vsync.members (vs r) ~group with m :: _ -> m | [] -> -1
 
 let cancel_markers r (w : Op.waiter) =
   if Vsync.is_up (vs r) w.w_machine then

@@ -35,29 +35,9 @@ val create :
   lambda:int ->
   topology:topology ->
   batching:bool ->
-  latency_aware:bool ->
-  order_reads:(int list -> int list) ->
-  cluster_markers:bool ->
-  n:int ->
   mem:Membership.t ->
   stats:Sim.Stats.t ->
   t
-(** [order_reads] is the reliability ordering
-    of read candidates — [System] wires {!Replication.order_reads}, the
-    BGOP tiers over observed crash history, which is itself the
-    identity unless [config.bgop_reads] is on and failure histories
-    differ. It is applied {e after} the latency order, so reliability
-    is the primary key and latency breaks ties within a tier.
-    [cluster_markers] (default off) moves a marker's wake-up duty to a
-    member in the waiter's own cluster — see {!wake_agent}.
-
-    [latency_aware] turns on latency-weighted replica
-    choice for WAN reads: the router keeps a per-machine EWMA of
-    observed read-response latency (virtual time, fed by its own read
-    fan-outs) and orders restriction candidates fastest-first before
-    the cluster-local filter. Off, the tables are never consulted and
-    every pick is byte-identical to the latency-blind router. [n] is
-    the machine count (sizes the observation tables). *)
 
 val attach_vsync : t -> Membership.vsync -> unit
 (** Wire the vsync instance (exactly once) — fan-outs need it. *)
@@ -90,14 +70,7 @@ val read_restrict : t -> basic:int list -> machine:int -> int list -> int list
     (§4.3). WAN: replicas in the reader's own cluster first — any
     replica's answer is valid for a read, and this is the natural
     wide-area refinement of the rg(C) optimisation (the paper's
-    closing open problem). Under [latency_aware], WAN candidates are
-    first stably ordered by observed-latency EWMA (ties, including
-    never-observed replicas, keep member order — so the pick only
-    moves once real observations differ). *)
-
-val observed_latency : t -> machine:int -> float option
-(** The machine's read-latency EWMA (virtual time), [None] until its
-    first observation or when [latency_aware] is off. *)
+    closing open problem). *)
 
 val crossed_wan : t -> machine:int -> members:int list -> bool
 (** Does a read from [machine] have to cross the wide area? True iff
@@ -155,15 +128,11 @@ val place_markers : t -> Op.waiter -> unit
 (** Gcast a marker placement to every known candidate class's write
     group (each placement counted under ["paso.marker_placements"]). *)
 
-val wake_agent : t -> group:string -> machine:int -> int
+val wake_agent : t -> group:string -> int
 (** The member that serves a marker's wake-up when a matching store
     fires it (markers are replicated to the whole write group, so any
-    member could; exactly one must). The group leader — the head of
-    the live member list — by default, and byte-identical to the
-    pre-existing leader rule; under [cluster_markers] on a WAN, the
-    first member in the waiter [machine]'s own cluster when one
-    exists, keeping the wake message off the remote links. [-1] if
-    the group has no members. *)
+    member could; exactly one must): the group leader, the head of the
+    live member list. [-1] if the group has no members. *)
 
 val cancel_markers : t -> Op.waiter -> unit
 (** Gcast marker cancellations for a satisfied or expired waiter; a

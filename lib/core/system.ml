@@ -1,10 +1,10 @@
 include Config
 
-(* The composition root: [Membership] owns classes/groups/probation,
-   [Replication] live policy dispatch and the BGOP failure history,
-   [Router] candidate derivation + fan-out + markers, [Snapshot] the
-   atomic multi-class scan, [Op] per-operation lifecycle and the
-   blocking-op waiter registry. *)
+(* The composition root: [Membership] owns classes/groups/probation
+   and executes the live policy's join/leave verdicts, [Router]
+   candidate derivation + fan-out + markers, [Snapshot] the atomic
+   multi-class scan, [Op] per-operation lifecycle and the blocking-op
+   waiter registry. *)
 type t = {
   cfg : config;
   eng : Sim.Engine.t;
@@ -17,7 +17,7 @@ type t = {
   mutable durable : durability option;
   has_recovered : bool array; (* rebuilt durable state since last crash *)
   mem : Membership.t;
-  repl : Replication.t;
+  static_policy : bool; (* [cfg.policy] is {!Policy.static}: skip event dispatch *)
   router : Router.t;
   opctl : Op.ctl;
   waiters : Op.Waiters.t;
@@ -58,12 +58,10 @@ let waiter_count t = Op.Waiters.count t.waiters
 let wan_cost t = Sim.Stats.total t.sstats "net.wan_cost"
 let check_quiescent t = Vsync.pending_groups t.vs
 
-let apply_policy t ~machine ~cls event = Replication.feed t.repl ~machine ~cls event
-let take_class_loads t = Membership.take_loads t.mem
+let apply_policy t ~machine ~cls event =
+  Membership.apply_policy t.mem ~policy:t.cfg.policy ~machine ~cls event
 
-let static_policy t = Replication.is_static t.repl
-let read_order t members = Replication.order_reads t.repl members
-let failure_counts t = Replication.failure_counts t.repl
+let take_class_loads t = Membership.take_loads t.mem
 
 let require_up t machine op =
   if machine < 0 || machine >= t.cfg.n then invalid_arg (op ^ ": bad machine id");
@@ -169,7 +167,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                       let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
                       Sim.Stats.incr_counter t.hs.h_local_reads;
                       Op.collecting op;
-                      if not (static_policy t) then
+                      if not t.static_policy then
                         apply_policy t ~machine ~cls
                           (Policy.Local_read
                              { ell = Server.live_count t.servers.(machine) ~cls });
@@ -202,14 +200,14 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                        member walk is not free) under the static
                        policy, which never reads it. *)
                     let crossed_wan =
-                      (not (static_policy t))
+                      (not t.static_policy)
                       && Router.crossed_wan t.router ~machine
                            ~members:(Vsync.members t.vs ~group:cs.Membership.group)
                     in
                     let handle resp responders =
                       Op.collecting op;
                       (* ell piggybacked on the response (§5.1). *)
-                      if not (static_policy t) then
+                      if not t.static_policy then
                         apply_policy t ~machine ~cls
                           (Policy.Remote_read
                              { responders; ell = live_count t ~cls; wan = crossed_wan });
@@ -325,8 +323,8 @@ let crash t ~machine =
     t.has_recovered.(machine) <- false;
     (* The simulated disk survives (tail damage: ["durable.crash.tail"]). *)
     (match t.durable with Some d -> d.du_crash ~machine | None -> ());
-    (* Counters die with the machine; feeds the BGOP history too. *)
-    Replication.machine_crashed t.repl ~machine;
+    (* Policy counters die with the machine. *)
+    t.cfg.policy.Policy.reset_machine ~machine;
     Repair.note_failure t.repair_state ~machine ~now:(now t);
     (match t.cfg.repair with
     | Some strategy -> Membership.repair_all t.mem t.repair_state strategy ~failed:machine
@@ -539,17 +537,13 @@ let create ?(tracing = false) ?failpoints cfg =
       ~use_read_groups:cfg.use_read_groups ~group_map:cfg.group_map ~servers ~engine:eng
       ~stats:sstats ~trace:strace
   in
-  let repl = Replication.create ~policy:cfg.policy ~bgop_reads:cfg.bgop_reads ~n:cfg.n ~mem in
   let router =
     Router.create ~classing:cfg.classing ~lambda:cfg.lambda ~topology:cfg.topology
-      ~batching:(cfg.batch <> None) ~latency_aware:cfg.wan_latency_aware
-      ~order_reads:(Replication.order_reads repl) ~cluster_markers:cfg.cluster_markers
-      ~n:cfg.n ~mem ~stats:sstats
+      ~batching:(cfg.batch <> None) ~mem ~stats:sstats
   in
   let opctl =
     Op.ctl ~engine:eng ~stats:sstats ~trace:strace
-      { Op.deadline = cfg.op_deadline; retry_budget = cfg.retry_budget;
-        retry_backoff = cfg.retry_backoff }
+      { Op.deadline = cfg.op_deadline; retry_budget = cfg.retry_budget }
   in
   let waiters = Op.Waiters.create ~engine:eng ~stats:sstats in
   let hs = hot_stats sstats in
@@ -591,8 +585,7 @@ let create ?(tracing = false) ?failpoints cfg =
         | Server.Store _, _ :: _ ->
             List.iter
               (fun mk ->
-                if node = Router.wake_agent t.router ~group ~machine:mk.Server.mk_machine
-                then begin
+                if node = Router.wake_agent t.router ~group then begin
                   Sim.Stats.incr_counter t.hs.h_marker_wakeups;
                   Vsync.send_direct t.vs ~from:node ~dst:mk.Server.mk_machine ~size:24
                     (fun () -> Op.Waiters.wake waiters mk.Server.mk_id)
@@ -606,7 +599,7 @@ let create ?(tracing = false) ?failpoints cfg =
                token: closes its read-coalescing window, invalidates
                in-flight fast reads, retries straddled snapshots. *)
             Membership.note_mutation mem ~cls;
-            if not (static_policy t) then
+            if not t.static_policy then
               apply_policy t ~machine:node ~cls
                 (Policy.Update { ell = Server.live_count servers.(node) ~cls })
         | Server.Mem_read _ | Server.Place_marker _ | Server.Cancel_marker _ -> ()
@@ -680,7 +673,12 @@ let create ?(tracing = false) ?failpoints cfg =
   Router.attach_vsync router vs;
   let t =
     { cfg; eng; fabric; fps; sstats; strace; vs; servers; durable = None;
-      has_recovered = Array.make cfg.n false; mem; repl; router; opctl; waiters; snap;
+      has_recovered = Array.make cfg.n false; mem; router; opctl; waiters; snap;
+      (* Physical equality is exact for every construction path in the
+         repo (config default, Runner's "static" decoding,
+         [Policy.static.clone]); a hand-rolled no-op policy merely
+         misses the shortcut. *)
+      static_policy = cfg.policy == Policy.static;
       serials = Array.make cfg.n 0;
       repair_state = Repair.create ~n:cfg.n ~seed:(cfg.seed + 1); hist; hs }
   in

@@ -54,36 +54,6 @@ type config = {
           fallbacks under ["paso.fast_read_fallbacks"]. [false] (the
           default) leaves every message and event byte-identical to
           the quorum-only system. *)
-  wan_latency_aware : bool;
-      (** latency-weighted WAN replica choice: the router keeps a
-          per-machine EWMA of observed read-response latency (virtual
-          time, fed by its own read fan-outs) and orders WAN read
-          restriction candidates fastest-first — cluster-local picks
-          before cross-WAN, then by measured speed within a tier
-          ({!Router.read_restrict}). No effect on the LAN topology.
-          [false] (the default) never consults or feeds the tables,
-          leaving every pick byte-identical to the latency-blind
-          router. *)
-  bgop_reads : bool;
-      (** BGOP reliability-ordered reads (§5.2, live): the
-          {!Replication} layer keeps a per-machine crash history
-          (last-failure clock + lifetime count, fed by {!crash}) and
-          stably orders read-restriction candidates by the
-          [Adaptive.Support_selection.Bgop] tier rule —
-          best/good/ok/poor — before the router's subset selection,
-          with observed latency breaking ties under
-          [wan_latency_aware]. [false] (the default) never consults
-          the history, leaving every pick byte-identical; on, picks
-          only move once real crash histories differ. *)
-  cluster_markers : bool;
-      (** cluster-local marker wake-ups on a WAN: a fired marker's
-          wake message is sent by a write-group member in the waiter's
-          own cluster when one exists ({!Router.wake_agent}), instead
-          of always by the group leader — keeping the per-wake α-cost
-          message off the remote links. Markers themselves are still
-          replicated to the whole write group (a marker missing at a
-          future leader would lose the wake). [false] (the default)
-          keeps the leader rule, byte-identical. No effect on LAN. *)
   batch : Net.Batch.cfg option;
       (** opt-in gcast batching: inserts, marker traffic and remote
           read fan-outs join a per-group accumulation window
@@ -126,11 +96,6 @@ type config = {
           zero-responder retries): an op out of budget terminates with
           fail (counted under ["paso.op.budget_exhausted"]). [None]
           (the default) is unbounded — the pre-existing behaviour. *)
-  retry_backoff : float;
-      (** delay before the [k]-th re-query of an op:
-          [backoff * 2^(k-1)]. [0.0] (the default) re-queries
-          immediately in the same event, preserving the pre-existing
-          event schedule exactly. *)
   seed : int;  (** seeds basic-support placement *)
 }
 
@@ -453,16 +418,6 @@ val audit_replicas : t -> (string * string) list
 
 val wan_cost : t -> float
 (** Total inter-cluster message cost so far (0 under {!Lan}). *)
-
-val read_order : t -> int list -> int list
-(** The {!Replication.order_reads} ordering this system's router
-    applies to read candidates: stable BGOP reliability tiers over the
-    observed crash history. The identity when [config.bgop_reads] is
-    off or no crash has happened yet. Exposed for tests and demos. *)
-
-val failure_counts : t -> int array
-(** Per-machine lifetime crash counts as observed by the
-    {!Replication} layer (a copy). *)
 
 val check_fault_tolerance : t -> (string * int) list
 (** Classes currently violating the §4.1 fault-tolerance condition,

@@ -38,7 +38,6 @@ let make ?(failpoints = Sim.Failpoint.create ()) ?batch
 let failpoints t = t.fps
 
 let n t = t.nodes
-let engine t = t.eng
 
 let is_up t i =
   check_node t i;

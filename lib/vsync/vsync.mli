@@ -99,7 +99,6 @@ val make :
     frame). *)
 
 val n : ('msg, 'resp, 'state) t -> int
-val engine : ('msg, 'resp, 'state) t -> Sim.Engine.t
 
 val members : ('msg, 'resp, 'state) t -> group:string -> int list
 (** Current view membership (sorted; [[]] for an unknown group). *)

@@ -5,13 +5,11 @@
 
 open Paso
 
-let mk ?deadline ?retry_budget ?(retry_backoff = 0.0) () =
+let mk ?deadline ?retry_budget () =
   let eng = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create () in
-  let ctl =
-    Op.ctl ~engine:eng ~stats ~trace { Op.deadline; retry_budget; retry_backoff }
-  in
+  let ctl = Op.ctl ~engine:eng ~stats ~trace { Op.deadline; retry_budget } in
   (eng, stats, ctl)
 
 (* --- deterministic cases ------------------------------------------------- *)
@@ -62,18 +60,20 @@ let test_budget_refuses () =
   Alcotest.(check int) "exhaustion counted" 1
     (Sim.Stats.count stats "paso.op.budget_exhausted")
 
-let test_backoff_delays_requery () =
-  let eng, _, ctl = mk ~retry_backoff:10.0 () in
+let test_retry_requeries_in_same_event () =
+  let eng, stats, ctl = mk () in
   let op = Op.make ctl ~machine:0 ~op_id:1 in
-  let fired_at = ref [] in
-  (* Backoff doubles per retry: 10, then 20 more. *)
-  ignore
+  let fired = ref [] in
+  (* A granted retry runs its requery at once: nothing is scheduled and
+     the clock does not move, however many retries nest. *)
+  Alcotest.(check bool) "retry granted" true
     (Op.retry op (fun () ->
-         fired_at := Sim.Engine.now eng :: !fired_at;
-         ignore (Op.retry op (fun () -> fired_at := Sim.Engine.now eng :: !fired_at))));
-  Alcotest.(check (list (float 1e-9))) "not yet run" [] !fired_at;
-  Sim.Engine.run eng;
-  Alcotest.(check (list (float 1e-9))) "exponential schedule" [ 30.0; 10.0 ] !fired_at
+         fired := Sim.Engine.now eng :: !fired;
+         ignore (Op.retry op (fun () -> fired := Sim.Engine.now eng :: !fired))));
+  Alcotest.(check (list (float 0.0))) "both requeries ran at t=0" [ 0.0; 0.0 ] !fired;
+  Alcotest.(check int) "no event scheduled" 0 (Sim.Engine.pending eng);
+  Alcotest.(check string) "retrying" "retrying" (Op.stage_name (Op.stage op));
+  Alcotest.(check int) "two retries counted" 2 (Sim.Stats.count stats "paso.op.retries")
 
 (* --- model: random transition schedules ---------------------------------- *)
 
@@ -191,8 +191,8 @@ let () =
           Alcotest.test_case "finish cancels deadline" `Quick
             test_finish_cancels_deadline;
           Alcotest.test_case "budget refuses" `Quick test_budget_refuses;
-          Alcotest.test_case "backoff delays requery" `Quick
-            test_backoff_delays_requery;
+          Alcotest.test_case "retry requeries in the same event" `Quick
+            test_retry_requeries_in_same_event;
         ] );
       ( "model",
         [

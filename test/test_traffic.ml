@@ -1,7 +1,7 @@
 (* The traffic harness (lib/traffic): histogram quantile pins and
    accuracy bound, scenario JSON round-trip and malformed-input errors,
    the replay determinism pins (a literal 1-shard pin; a fixed shard
-   count is byte-identical at any domain count), and a flash-crowd run
+   count is byte-identical at any domain count; a WAN scenario pin), and a flash-crowd run
    through the §2 invariant checks.
 
    Set PASO_PIN_PRINT=1 to print actual values when intentionally
@@ -121,6 +121,29 @@ let test_scenario_roundtrip () =
       | Error e -> Alcotest.failf "%s: shipped scenario invalid: %s" sc.Traffic.Scenario.sc_name e)
     Traffic.Scenario.all
 
+let test_scenario_legacy_key () =
+  (* The retired ["wan_latency_aware"] key is neither emitted nor
+     required: a document carrying it and one without it parse to the
+     same scenario, so older JSON still loads. *)
+  let wan = Option.get (Traffic.Scenario.find "wan_partition") in
+  let printed = Traffic.Scenario.to_json wan in
+  Alcotest.(check bool) "printed scenario omits wan_latency_aware" true
+    (Check.Json.get printed "wan_latency_aware" = None);
+  let with_key =
+    match printed with
+    | Check.Json.Obj fields ->
+        Check.Json.Obj (fields @ [ ("wan_latency_aware", Check.Json.Bool true) ])
+    | _ -> Alcotest.fail "printed scenario is not a JSON object"
+  in
+  List.iter
+    (fun (what, doc) ->
+      match Traffic.Scenario.parse (Check.Json.to_string doc) with
+      | Error e -> Alcotest.failf "%s: rejected: %s" what e
+      | Ok sc' ->
+          Alcotest.(check string) (what ^ " parses to wan_partition")
+            (Traffic.Scenario.to_string wan) (Traffic.Scenario.to_string sc'))
+    [ ("with wan_latency_aware", with_key); ("without wan_latency_aware", printed) ]
+
 let test_scenario_malformed () =
   let expect_error what s =
     match Traffic.Scenario.parse s with
@@ -198,7 +221,6 @@ let small =
     sc_lambda = 2;
     sc_clusters = [ 3; 3 ];
     sc_remote_mult = 2.0;
-    sc_wan_latency_aware = false;
     sc_policy = "static";
     sc_deadline = Some 1.5e5;
     sc_faults = Storm { at = 8.0e5; down = 2; outage = 3.0e5; stagger = 5.0e4 };
@@ -252,6 +274,24 @@ let test_replay_pins () =
      global state left behind by the previous run) *)
   let again = Traffic.Driver.run ~tracing:true small in
   Alcotest.(check (pair string string)) "rerun reproduces" (digests s1) (digests again)
+
+(* The WAN traffic path: the shipped [wan_partition] scenario (three
+   2-machine clusters, a cluster cut mid-run) on the 2-shard engine the
+   CI SLO gate drives, pinned by histogram digest, WAN message count and
+   tail quantiles. *)
+let test_wan_partition_pin () =
+  let sc = Option.get (Traffic.Scenario.find "wan_partition") in
+  let o = Traffic.Driver.run ~shards:2 ~domains:1 sc in
+  let h = o.Traffic.Driver.o_hist in
+  if printing then
+    Format.printf "wan_partition pin S=2: hist=%s wan_msgs=%d p99=%g p999=%g@."
+      o.Traffic.Driver.o_hist_digest o.Traffic.Driver.o_wan_msgs (Traffic.Hist.p99 h)
+      (Traffic.Hist.p999 h);
+  Alcotest.(check string) "hist digest" "067804c594a5ad79b3ffdd7841a0eebc"
+    o.Traffic.Driver.o_hist_digest;
+  Alcotest.(check int) "wan msgs" 9269 o.Traffic.Driver.o_wan_msgs;
+  Alcotest.(check (float 0.0)) "p99" 16256.0 (Traffic.Hist.p99 h);
+  Alcotest.(check (float 0.0)) "p999" 21248.0 (Traffic.Hist.p999 h)
 
 (* ------------------------------------------------------------------ *)
 (* Self-similar arrivals                                               *)
@@ -339,11 +379,14 @@ let () =
         [
           Alcotest.test_case "JSON round-trip" `Quick test_scenario_roundtrip;
           Alcotest.test_case "malformed inputs" `Quick test_scenario_malformed;
+          Alcotest.test_case "retired wan_latency_aware key ignored" `Quick
+            test_scenario_legacy_key;
         ] );
       ( "replay",
         [
           Alcotest.test_case "1-shard pin, S=4 D in {1,2,4}" `Quick test_replay_pins;
           Alcotest.test_case "web_selfsim digest pin" `Quick test_selfsim_pin;
+          Alcotest.test_case "wan_partition S=2 pin" `Quick test_wan_partition_pin;
         ] );
       ( "invariants",
         [
