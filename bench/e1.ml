@@ -36,7 +36,7 @@ let run () =
         (fun payload_len ->
           let n = g + 4 in
           let sys = make_system ~g ~n in
-          let cm = (System.config sys).System.cost in
+          let cm = Net.Cost_model.default in
           let payload = String.make payload_len 'x' in
           (* Prefill: create the class and one resident object. *)
           System.insert sys ~machine:0 (fields payload) ~on_done:(fun () -> ());

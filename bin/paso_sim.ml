@@ -147,8 +147,8 @@ let run_cmd =
             clusters = Array.init n (fun m -> m mod wan);
             remote =
               Net.Cost_model.v
-                ~alpha:(20.0 *. Paso.System.default_config.Paso.System.cost.Net.Cost_model.alpha)
-                ~beta:(4.0 *. Paso.System.default_config.Paso.System.cost.Net.Cost_model.beta);
+                ~alpha:(20.0 *. Net.Cost_model.default.Net.Cost_model.alpha)
+                ~beta:(4.0 *. Net.Cost_model.default.Net.Cost_model.beta);
           }
     in
     let pol =

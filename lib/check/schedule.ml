@@ -82,12 +82,3 @@ let step_name = function
   | Crash _ -> "crash"
   | Recover -> "recover"
   | Advance -> "advance"
-
-let pp_step ppf = function
-  | Insert (m, h) -> Format.fprintf ppf "insert(m=%d,h=%d)" m h
-  | Read (m, h) -> Format.fprintf ppf "read(m=%d,h=%d)" m h
-  | Take (m, h) -> Format.fprintf ppf "take(m=%d,h=%d)" m h
-  | Snapshot m -> Format.fprintf ppf "snapshot(m=%d)" m
-  | Crash m -> Format.fprintf ppf "crash(m=%d)" m
-  | Recover -> Format.fprintf ppf "recover"
-  | Advance -> Format.fprintf ppf "advance"

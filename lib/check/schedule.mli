@@ -83,4 +83,3 @@ val label : config -> string
     toggles. *)
 
 val step_name : step -> string
-val pp_step : Format.formatter -> step -> unit

@@ -12,7 +12,6 @@ type config = {
   lambda : int;
   classing : Obj_class.strategy;
   storage : Storage.kind;
-  cost : Net.Cost_model.t;
   topology : topology;
   unit_work : float;
   use_read_groups : bool;
@@ -20,7 +19,6 @@ type config = {
   fast_read : bool;
   batch : Net.Batch.cfg option;
   policy : Policy.t;
-  init_delay : float;
   group_map : (string -> string) option;
   repair : Repair.strategy option;
   op_deadline : float option;
@@ -34,7 +32,6 @@ let default_config =
     lambda = 2;
     classing = Obj_class.By_head;
     storage = Storage.Hash;
-    cost = Net.Cost_model.default;
     topology = Lan;
     unit_work = 1.0;
     use_read_groups = true;
@@ -42,13 +39,16 @@ let default_config =
     fast_read = false;
     batch = None;
     policy = Policy.static;
-    init_delay = 5000.0;
     group_map = None;
     repair = None;
     op_deadline = None;
     retry_budget = None;
     seed = 42;
   }
+
+(* §3.1 initialisation phase: delay between a machine's recovery and
+   its re-joining of the groups of the classes it basically supports. *)
+let init_delay = 5000.0
 
 let validate cfg =
   if cfg.lambda < 0 then invalid_arg "System.create: negative lambda";

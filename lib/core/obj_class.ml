@@ -90,9 +90,3 @@ let sc_list strategy ~universe sc =
     | Custom { candidates; _ } -> candidates ~universe sc
   in
   List.sort_uniq compare names
-
-let pp_info ppf i =
-  Format.fprintf ppf "%s(arity=%d%t)" i.name i.cls_arity (fun ppf ->
-      match i.head with
-      | None -> ()
-      | Some v -> Format.fprintf ppf ", head=%a" Value.pp v)

@@ -45,5 +45,3 @@ val sc_list : strategy -> universe:info list -> Template.t -> string list
     Exhaustiveness invariant (property-tested): if [Template.matches
     sc o] and [classify s o ∈ universe] then
     [class_of s o ∈ sc_list s ~universe sc]. *)
-
-val pp_info : Format.formatter -> info -> unit

@@ -8,32 +8,35 @@ type t = {
   shards : int;
   domains : int;
   sys : System.t array;
-  out : (unit -> unit) Sim.Mailbox.t array;
-      (* out.(s): posts from shard [s]. Producer is whichever domain
-         runs shard [s] in the current round (exactly one, by the
-         [i mod D] slicing); the coordinator is the only consumer and
-         only touches it between rounds. Spawn/join carry the
-         happens-before edges between the two regimes. *)
-  ovf : (unit -> unit) list ref array;
-      (* producer-local overflow for a full ring, reversed-FIFO;
-         drained after the ring at the same barrier *)
+  out : (unit -> unit) Queue.t array;
+      (* out.(s): work shard [s] hands to the coordinator. During a
+         round only the domain running shard [s] pushes (exactly one,
+         by the [i mod D] slicing); between rounds only the coordinator
+         pushes and pops. Sim.Parallel.run returning is the hand-off:
+         its barrier carries the happens-before edges, so no queue is
+         ever touched by two domains at once. *)
   known : (string, unit) Hashtbl.t;
   mutable universe : Obj_class.info list; (* sorted by name *)
   mutable xretries : int;
   overlay : (string, int) Hashtbl.t;
       (* class → shard for migrated classes; consulted ahead of the
          hash. Written only by the coordinator at barriers. *)
-  inflight : (string, int ref) Hashtbl.t;
-      (* coordinator-side per-class refcount of operations between
-         issue and [on_done]: a class with in-flight traffic must not
-         migrate (its walk continuations hold shard indices). *)
-  rb : Rebalance.t option;
+  rb : armed option;
   fp : Sim.Failpoint.t;
       (* coordinator-level registry — the per-shard Systems each carry
          their own; this one covers barrier-time sites *)
   cum_load : float array; (* drained §4-weighted load per shard *)
   mutable nmigrations : int;
   mutable ndeferred : int; (* moves dropped at apply time (crash races) *)
+}
+
+and armed = {
+  reb : Rebalance.t;
+  pins : (string, int ref) Hashtbl.t;
+      (* per-class count of operations between issue and their
+         coordinator-side [on_done]: a class with in-flight traffic
+         must not migrate (its walk continuations hold shard indices).
+         Only the rebalancer's eligibility check reads it. *)
 }
 
 (* FNV-1a 64-bit over the class name: the partition must be a pure
@@ -74,22 +77,21 @@ let create ?(tracing = false) ~shards ?(domains = 1) ?rebalance cfg =
     shards;
     domains;
     sys;
-    out = Array.init shards (fun _ -> Sim.Mailbox.create ());
-    ovf = Array.init shards (fun _ -> ref []);
+    out = Array.init shards (fun _ -> Queue.create ());
     known = Hashtbl.create 64;
     universe = [];
     xretries = 0;
     overlay = Hashtbl.create 16;
-    inflight = Hashtbl.create 64;
-    rb = Option.map (fun cfg -> Rebalance.create ~cfg ~shards ()) rebalance;
+    rb =
+      Option.map
+        (fun cfg -> { reb = Rebalance.create ~cfg ~shards (); pins = Hashtbl.create 64 })
+        rebalance;
     fp = Sim.Failpoint.create ();
     cum_load = Array.make shards 0.0;
     nmigrations = 0;
     ndeferred = 0;
   }
 
-let shard_count t = t.shards
-let domain_count t = t.domains
 let sub t k = t.sys.(k)
 let systems t = t.sys
 
@@ -105,53 +107,52 @@ let shard_loads t = Array.copy t.cum_load
 let migrations t = t.nmigrations
 
 let deferrals t =
-  t.ndeferred + match t.rb with Some rb -> Rebalance.deferrals rb | None -> 0
+  t.ndeferred + match t.rb with Some a -> Rebalance.deferrals a.reb | None -> 0
 
 let placements t =
   Hashtbl.fold (fun cls s acc -> (cls, s) :: acc) t.overlay [] |> List.sort compare
 
-(* In-flight refcounts: held from issue to the coordinator-side
-   [on_done]. Both ends run on the coordinator (issue happens between
-   rounds or inside a drained thunk), so plain mutation is safe. *)
+(* In-flight pins: held from issue to the coordinator-side [on_done].
+   Both ends run on the coordinator (issue happens between rounds or
+   inside a drained thunk), so plain mutation is safe. With no
+   rebalancer armed nothing reads the pins, so nothing is pinned. *)
 let hold t cls =
-  match Hashtbl.find_opt t.inflight cls with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.inflight cls (ref 1)
+  match t.rb with
+  | None -> ()
+  | Some { pins; _ } -> (
+      match Hashtbl.find_opt pins cls with
+      | Some r -> incr r
+      | None -> Hashtbl.add pins cls (ref 1))
 
 let release t cls =
-  match Hashtbl.find_opt t.inflight cls with
-  | Some r ->
-      decr r;
-      if !r <= 0 then Hashtbl.remove t.inflight cls
+  match t.rb with
   | None -> ()
+  | Some { pins; _ } -> (
+      match Hashtbl.find_opt pins cls with
+      | Some r ->
+          decr r;
+          if !r <= 0 then Hashtbl.remove pins cls
+      | None -> ())
 
-let in_flight t cls =
-  match Hashtbl.find_opt t.inflight cls with Some r -> !r > 0 | None -> false
-
-let post t s f = if not (Sim.Mailbox.push t.out.(s) f) then t.ovf.(s) := f :: !(t.ovf.(s))
+let post t s f = Queue.push f t.out.(s)
 
 (* --- round loop --------------------------------------------------------- *)
 
-(* Drain posts in shard-index order. A thunk may post again (to any
-   shard, including one already drained this pass — picked up next
-   round) and may issue fresh operations: the engines are idle here, so
+(* Drain each shard's queue until it is empty, in shard-index order;
+   true iff anything ran. A thunk may post again (to its own shard —
+   run in this pass — or to one already drained, picked up next round)
+   and may issue fresh operations: the engines are idle here, so
    issuing is safe, and the new events run next round. *)
 let drain_posts t =
-  let n = ref 0 in
-  for s = 0 to t.shards - 1 do
-    n := !n + Sim.Mailbox.drain t.out.(s) (fun f -> f ());
-    let o = t.ovf.(s) in
-    if !o <> [] then begin
-      let fs = List.rev !o in
-      o := [];
-      List.iter
-        (fun f ->
-          incr n;
-          f ())
-        fs
-    end
-  done;
-  !n
+  let drained = ref false in
+  Array.iter
+    (fun q ->
+      while not (Queue.is_empty q) do
+        drained := true;
+        (Queue.pop q) ()
+      done)
+    t.out;
+  !drained
 
 (* One migration: executed entirely on the coordinator at a barrier,
    every engine idle. The failpoint fires before the extract so a
@@ -178,8 +179,8 @@ let apply_move t { Rebalance.mv_cls = cls; mv_from = src; mv_to = dst } =
    shard-index order — the merged triples are a pure function of the
    round sequence, so everything derived from them (including every
    migration decision) is byte-identical at any domain count — then let
-   the rebalancer decide and apply its moves. Returns the number of
-   migrations attempted, which keeps the round loop alive so a
+   the rebalancer decide and apply its moves. Returns whether any
+   migration was attempted, which keeps the round loop alive so a
    post-migration round re-establishes quiescence. *)
 let barrier_tick t =
   let loads =
@@ -189,56 +190,43 @@ let barrier_tick t =
   in
   List.iter (fun (_, w, s) -> t.cum_load.(s) <- t.cum_load.(s) +. w) loads;
   match t.rb with
-  | None -> 0
-  | Some rb ->
+  | None -> false
+  | Some { reb; pins } ->
       let eligible cls =
-        (not (in_flight t cls)) && System.class_migratable t.sys.(owner t cls) ~cls
+        (not (Hashtbl.mem pins cls)) && System.class_migratable t.sys.(owner t cls) ~cls
       in
-      let moves = Rebalance.round rb ~loads ~eligible in
+      let moves = Rebalance.round reb ~loads ~eligible in
       (* Count attempted moves, not applied ones: a move dropped at
          apply time may still have crashed machines through its
          failpoint, and the round loop must run those events to
          quiescence before it is allowed to stop. *)
       List.iter (fun mv -> ignore (apply_move t mv)) moves;
-      List.length moves
+      moves <> []
 
-let run t =
-  let continue = ref true in
-  while !continue do
-    Sim.Parallel.run ~domains:t.domains ~total:t.shards (fun s -> System.run t.sys.(s));
-    (* Engines quiesced, the drain injected nothing and no class moved:
-       globally done. *)
-    let drained = drain_posts t in
-    let moved = barrier_tick t in
-    if drained = 0 && moved = 0 then continue := false
-  done
+(* The one round loop: [step s] advances shard [s]'s engine, every shard
+   in parallel; then the coordinator drains and ticks the barrier. Once
+   the engines have stepped, the drain ran nothing and no class moved,
+   the loop is done. *)
+let rec rounds t step =
+  Sim.Parallel.run ~domains:t.domains ~total:t.shards step;
+  let drained = drain_posts t in
+  let moved = barrier_tick t in
+  if drained || moved then rounds t step
 
+let run t = rounds t (fun s -> System.run t.sys.(s))
+
+(* Per-shard [now + d] horizons, fixed before the first round: shard
+   clocks may drift apart (the sharded replay pin depends on this). *)
 let advance t d =
   let horizon = Array.map (fun s -> System.now s +. d) t.sys in
-  let continue = ref true in
-  while !continue do
-    Sim.Parallel.run ~domains:t.domains ~total:t.shards (fun s ->
-        System.run_until t.sys.(s) horizon.(s));
-    let drained = drain_posts t in
-    let moved = barrier_tick t in
-    if drained = 0 && moved = 0 then continue := false
-  done
+  rounds t (fun s -> System.run_until t.sys.(s) horizon.(s))
 
 (* Absolute-horizon variant: every shard runs to the same instant, so
    after the loop all shard clocks agree — the alignment the open-loop
    traffic driver needs to issue an op "at time T" on any shard (and
    the property that keeps a 1-shard composition byte-identical to a
-   bare System driven by [System.run_until] at the same instants;
-   [advance]'s per-shard [now + d] horizons drift apart instead). *)
-let advance_to t horizon =
-  let continue = ref true in
-  while !continue do
-    Sim.Parallel.run ~domains:t.domains ~total:t.shards (fun s ->
-        System.run_until t.sys.(s) horizon);
-    let drained = drain_posts t in
-    let moved = barrier_tick t in
-    if drained = 0 && moved = 0 then continue := false
-  done
+   bare System driven by [System.run_until] at the same instants). *)
+let advance_to t horizon = rounds t (fun s -> System.run_until t.sys.(s) horizon)
 
 let now t = Array.fold_left (fun acc s -> Float.max acc (System.now s)) 0.0 t.sys
 
@@ -283,7 +271,11 @@ let owners_of t cands =
 
 (* --- primitives --------------------------------------------------------- *)
 
+(* Each primitive checks its machine before any coordinator bookkeeping:
+   a refused op must leave no class in the universe and no pin behind.
+   Up-state is mirrored across shards, so shard 0 answers for all. *)
 let insert t ~machine fields ~on_done =
+  System.require_up t.sys.(0) machine "System.insert";
   let probe = Pobj.make ~uid:(Uid.make ~machine ~serial:0) fields in
   let info = Obj_class.classify t.cfg.System.classing probe in
   note_class t info;
@@ -303,7 +295,8 @@ let insert t ~machine fields ~on_done =
    lost since issue) answers synchronously — that happens only while
    the engines are idle, so posting from here is still the coordinator
    producing. *)
-let read_walk op t ~machine tmpl ~on_done =
+let read_walk opname op t ~machine tmpl ~on_done =
+  System.require_up t.sys.(0) machine opname;
   let cands = candidates t tmpl in
   (* The walk's continuations name shard indices, so every candidate
      class is pinned for the op's whole lifetime — not just the class
@@ -325,8 +318,8 @@ let read_walk op t ~machine tmpl ~on_done =
       in
       visit first rest
 
-let read t = read_walk System.read t
-let read_del t = read_walk System.read_del t
+let read t = read_walk "System.read" System.read t
+let read_del t = read_walk "System.read_del" System.read_del t
 
 (* Cross-shard snapshot: per-owner System.snapshot sub-collects; each
    accepted sub-snapshot captures its classes' serials at its local cut
@@ -337,6 +330,7 @@ let read_del t = read_walk System.read_del t
    instant is a cut consistent with every local cut, and the merge is
    atomic; otherwise only the moved shards re-collect. *)
 let snapshot t ~machine tmpl ~on_done =
+  System.require_up t.sys.(0) machine "System.snapshot";
   let cands = candidates t tmpl in
   (* A multi-shard snapshot spans barriers (collect, then a confirm that
      may re-collect): pin every candidate class until the merge — a

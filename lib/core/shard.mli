@@ -8,22 +8,27 @@
     [S] engine shards by a deterministic class→shard hash, each shard
     runs a complete Membership/Router/Op pipeline on its own
     {!Sim.Engine} with its own RNG stream and stats bank, and
-    cross-shard composition happens only at {e round barriers} through
-    bounded SPSC mailboxes ({!Sim.Mailbox}).
+    cross-shard composition happens only at {e round barriers}.
 
     {2 Determinism by merge}
 
     A {!run} is a sequence of rounds: (1) every shard engine runs to
     quiescence in parallel — shard [s] on domain [s mod D] via
-    {!Sim.Parallel} — then (2) the coordinating domain drains the
-    shards' outboxes {e in shard-index order}, executing the posted
-    thunks (operation completions, read-walk continuations, snapshot
-    votes), which may issue follow-up work on any shard; repeat until a
-    round drains nothing. Within a round a shard interacts with nothing,
-    so its engine run is a pure function of its pre-round state; between
-    rounds only the coordinator acts, in a fixed order. Merged traces,
-    stats and results are therefore byte-identical at any domain count
-    [D], including [D = 1] — the property the sharded fuzz pins check.
+    {!Sim.Parallel} — while appending the work it hands to the
+    coordinator (operation completions, read-walk continuations,
+    snapshot votes) to its own plain FIFO outbox; then (2) the
+    coordinating domain drains the outboxes {e in shard-index order},
+    each until empty, running the posted thunks, which may issue
+    follow-up work on any shard; repeat until a round drains nothing.
+    The barrier at the end of {!Sim.Parallel.run} is the only hand-off:
+    during a round each outbox has one writer (its shard's domain),
+    between rounds only the coordinator touches them, and the barrier
+    orders the two — so the outboxes need no atomics or locks. Within a
+    round a shard interacts with nothing, so its engine run is a pure
+    function of its pre-round state; between rounds only the
+    coordinator acts, in a fixed order. Merged traces, stats and
+    results are therefore byte-identical at any domain count [D],
+    including [D = 1] — the property the sharded fuzz pins check.
 
     Every user-facing [on_done] runs on the coordinating domain at a
     barrier (never on a shard's domain), so driver callbacks may touch
@@ -72,9 +77,6 @@ val create :
     ["policy.joins"] / ["policy.leaves"] like every other merged stat.
     @raise Invalid_argument if [shards < 1] or [domains < 1]. *)
 
-val shard_count : t -> int
-val domain_count : t -> int
-
 val sub : t -> int -> System.t
 (** Shard [k]'s sub-system, e.g. for arming per-shard failpoints. *)
 
@@ -115,7 +117,9 @@ val failpoints : t -> Sim.Failpoint.t
 (** {1 PASO primitives}
 
     Same contracts as the {!System} versions; [on_done] always runs on
-    the coordinating domain at a round barrier. A template op with no
+    the coordinating domain at a round barrier. A primitive issued on a
+    down or out-of-range machine raises the same [Invalid_argument] as
+    {!System} before any coordinator bookkeeping, leaving no trace. A template op with no
     known candidate class is routed to shard 0, which records and
     fails it exactly as the plain System would — so a 1-shard
     composition is byte-identical to an unsharded run. *)

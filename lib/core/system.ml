@@ -340,7 +340,7 @@ let recover t ~machine =
   if machine < 0 || machine >= t.cfg.n then invalid_arg "System.recover: bad machine id";
   if not (Vsync.is_up t.vs machine) then begin
     Sim.Stats.incr t.sstats "faults.recoveries";
-    tracef t "machine %d recovering (init phase %g)" machine t.cfg.init_delay;
+    tracef t "machine %d recovering (init phase %g)" machine init_delay;
     Vsync.recover t.vs ~node:machine;
     (* Rebuild the local stores from checkpoint+log replay before
        rejoining, so the join can reconcile by delta (or, for a group
@@ -360,7 +360,7 @@ let recover t ~machine =
               snapshot
         | None -> ())
     | None -> ());
-    Membership.schedule_rejoin t.mem ~machine ~delay:t.cfg.init_delay
+    Membership.schedule_rejoin t.mem ~machine ~delay:init_delay
   end
 
 let set_durability t d =
@@ -521,11 +521,12 @@ let create ?(tracing = false) ?failpoints cfg =
   let fps = match failpoints with Some f -> f | None -> Sim.Failpoint.create () in
   let fabric =
     match cfg.topology with
-    | Lan -> Net.Fabric.shared_bus ~failpoints:fps eng cfg.cost sstats
+    | Lan -> Net.Fabric.shared_bus ~failpoints:fps eng Net.Cost_model.default sstats
     | Wan { clusters; remote } ->
         if Array.length clusters <> cfg.n then
           invalid_arg "System.create: clusters array must have length n";
-        Net.Fabric.wan ~failpoints:fps eng ~clusters ~local:cfg.cost ~remote sstats
+        Net.Fabric.wan ~failpoints:fps eng ~clusters ~local:Net.Cost_model.default ~remote
+          sstats
   in
   let servers =
     Array.init cfg.n (fun machine ->

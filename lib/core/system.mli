@@ -16,11 +16,11 @@
     checker, and all costs land in the {!Sim.Stats.t}. *)
 
 type topology = Router.topology =
-  | Lan  (** the paper's single shared bus, priced by [config.cost] *)
+  | Lan  (** the paper's single shared bus, priced by {!Net.Cost_model.default} *)
   | Wan of { clusters : int array; remote : Net.Cost_model.t }
       (** the paper's closing open problem, explored: machines grouped
           into clusters ([clusters.(m)]); intra-cluster messages priced
-          by [config.cost] on per-machine uplinks, inter-cluster ones
+          by {!Net.Cost_model.default} on per-machine uplinks, inter-cluster ones
           by [remote] *)
 
 type config = {
@@ -28,7 +28,6 @@ type config = {
   lambda : int;  (** max simultaneous crashes tolerated; λ+1 ≤ n *)
   classing : Obj_class.strategy;
   storage : Storage.kind;
-  cost : Net.Cost_model.t;
   topology : topology;
   unit_work : float;
       (** duration of one abstract I/Q/D work unit, in the same units
@@ -68,9 +67,6 @@ type config = {
           system. Trades the hold-window δ of latency for message-cost
           savings; the semantics checker verdicts are unaffected. *)
   policy : Policy.t;  (** adaptive replication policy (§5) *)
-  init_delay : float;
-      (** §3.1 initialisation phase: delay between machine recovery and
-          its re-joining of groups *)
   group_map : (string -> string) option;
       (** coalesce write groups: classes mapping to the same name share
           one write group (the paper's wg : C → Names is many-to-one);
@@ -356,11 +352,17 @@ val crash : t -> machine:int -> unit
     operations orphaned. Idempotent. *)
 
 val recover : t -> machine:int -> unit
-(** Recover a machine; after the configured [init_delay] it re-joins
-    the write groups of the classes it basically supports. *)
+(** Recover a machine; after the §3.1 initialisation phase (5000 time
+    units) it re-joins the write groups of the classes it basically
+    supports. *)
 
 val is_up : t -> int -> bool
 val up_count : t -> int
+
+val require_up : t -> int -> string -> unit
+(** [require_up t machine name] is the check every primitive makes
+    before touching any state. @raise Invalid_argument
+    ["<name>: bad machine id"] or ["<name>: machine is down"]. *)
 
 (** {1 Introspection} *)
 

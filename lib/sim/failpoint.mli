@@ -70,7 +70,7 @@ type t
 
 val create : unit -> t
 (** A fresh registry with no armed sites. Hit counting starts disabled
-    and is enabled by the first {!arm} or by {!enable_counting}. *)
+    and is enabled by the first {!arm}. *)
 
 val arm :
   t -> site:string -> ?skip:int -> ?times:int -> (info -> effect_) -> unit
@@ -87,9 +87,6 @@ val hit :
 (** Record a hit at [site] and fire its arming if due. Called by the
     planted protocol code; returns the handler's effect ([Nothing] when
     unarmed, skipped, or exhausted). *)
-
-val enable_counting : t -> unit
-(** Count hits even with no site armed (for site-coverage inspection). *)
 
 val hit_count : t -> site:string -> int
 (** Hits recorded at [site] (0 while counting is disabled). *)

@@ -11,7 +11,7 @@
     Fan-outs run on a process-global {e persistent worker pool}: the
     first [map ~domains:(d > 1)] spawns [d - 1] worker domains which
     are then reused (epoch barrier per call) instead of paying a
-    [Domain.spawn]/join per call — the round-rate consumer this exists
+    domain spawn/join per call — the round-rate consumer this exists
     for is [Shard], which fans out once per pump. The pool grows on
     demand, is shared by every caller in the process, and is joined at
     exit. A nested [map] issued from inside a pool worker falls back to
@@ -43,7 +43,3 @@ val map :
 
 val run : ?domains:int -> total:int -> (int -> unit) -> unit
 (** {!map} for effect-only tasks: same partition, no result array. *)
-
-val pool_size : unit -> int
-(** Worker domains currently alive in the persistent pool (0 until the
-    first [map] with [domains > 1]). Observability only. *)

@@ -56,9 +56,7 @@ let series t key =
 (* --- handle operations (no hashing, no allocation) --- *)
 
 let incr_counter c = c.c_v <- c.c_v + 1
-let counter_value c = c.c_v
 let add_to a v = a.a_v <- a.a_v +. v
-let accumulator_value a = a.a_v
 
 let observe_series s v =
   let cap = Array.length s.s_data in

@@ -48,10 +48,7 @@ val series : t -> string -> series
 val incr_counter : counter -> unit
 (** Increment through a handle: one field write. *)
 
-val counter_value : counter -> int
-
 val add_to : accumulator -> float -> unit
-val accumulator_value : accumulator -> float
 
 val observe_series : series -> float -> unit
 (** Append a sample: amortised O(1), no per-sample allocation. The

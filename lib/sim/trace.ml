@@ -21,7 +21,6 @@ let create ?(capacity = 4096) () =
   { buf = Array.make (max 1 (min 64 (capacity + 1))) dummy; len = 0; capacity; on = false }
 
 let enable t = t.on <- true
-let disable t = t.on <- false
 let enabled t = t.on
 
 let emit t ~time ~tag message =

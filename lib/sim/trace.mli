@@ -12,7 +12,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds retained records (oldest dropped); default 4096. *)
 
 val enable : t -> unit
-val disable : t -> unit
 val enabled : t -> bool
 
 val emit : t -> time:float -> tag:string -> string -> unit

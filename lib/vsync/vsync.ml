@@ -399,11 +399,6 @@ let admin_form t ~group ~members ~view_id =
   g.members <- IntSet.of_list (List.filter (fun m -> t.up.(m)) members);
   g.view_id <- view_id
 
-let state_transfer_target t ~group =
-  match Hashtbl.find_opt t.groups group with
-  | Some g -> g.joining
-  | None -> None
-
 let pending_groups t =
   Hashtbl.fold
     (fun name g acc ->
@@ -431,10 +426,6 @@ let exec_local t ~node ~work k =
   ignore
     (Sim.Engine.schedule t.eng ~delay:(fin -. now) (fun () ->
          if t.up.(node) && t.epoch.(node) = e then k ()))
-
-let node_busy_until t node =
-  check_node t node;
-  t.busy_until.(node)
 
 let crash t ~node =
   check_node t node;

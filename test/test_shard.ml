@@ -41,21 +41,8 @@ let test_partition () =
   Alcotest.(check (list int)) "pinned class->shard sample" [ 0; 1; 2; 3; 0; 0 ] actual
 
 (* ------------------------------------------------------------------ *)
-(* The SPSC mailbox and the shared task partitioner                    *)
+(* The shared task partitioner                                         *)
 (* ------------------------------------------------------------------ *)
-
-let test_mailbox () =
-  let mb = Sim.Mailbox.create ~capacity:4 () in
-  Alcotest.(check int) "capacity" 4 (Sim.Mailbox.capacity mb);
-  List.iter (fun i -> Alcotest.(check bool) "push accepted" true (Sim.Mailbox.push mb i)) [ 1; 2; 3; 4 ];
-  Alcotest.(check bool) "full ring refuses" false (Sim.Mailbox.push mb 5);
-  Alcotest.(check int) "length" 4 (Sim.Mailbox.length mb);
-  Alcotest.(check (option int)) "fifo pop" (Some 1) (Sim.Mailbox.pop mb);
-  Alcotest.(check bool) "freed slot accepts" true (Sim.Mailbox.push mb 5);
-  let drained = ref [] in
-  Alcotest.(check int) "drain count" 4 (Sim.Mailbox.drain mb (fun x -> drained := x :: !drained));
-  Alcotest.(check (list int)) "fifo drain" [ 2; 3; 4; 5 ] (List.rev !drained);
-  Alcotest.(check (option int)) "empty" None (Sim.Mailbox.pop mb)
 
 let test_parallel () =
   let seq, _ = Sim.Parallel.map ~total:10 (fun i -> i * i) in
@@ -118,6 +105,49 @@ let test_stats_merge_independent () =
     (Shard.rendered_trace t3)
 
 (* ------------------------------------------------------------------ *)
+(* Coordinator hand-off: drain-time posts                              *)
+(* ------------------------------------------------------------------ *)
+
+let name_of cfg h =
+  (Obj_class.classify cfg.System.classing
+     (Pobj.make ~uid:(Uid.make ~machine:0 ~serial:0) [ vs h; vi 0 ]))
+    .Obj_class.name
+
+let head_on cfg ~shards s =
+  let rec go i =
+    let h = Printf.sprintf "h%d" i in
+    if Shard.shard_of_class ~shards (name_of cfg h) = s then h else go (i + 1)
+  in
+  go 0
+
+(* A completion running at the barrier may issue work that posts again
+   while the coordinator is still draining. Here the follow-up is a read
+   matching no known class: shard 0 fails it synchronously, so its
+   completion lands in shard 0's outbox mid-drain — the same pass when
+   the first completion came from shard 0, an already-drained queue
+   (picked up next round) when it came from shard 1. Either way the
+   follow-up completes inside the same [Shard.run], exactly once. *)
+let test_drain_time_post () =
+  let cfg = { System.default_config with n = 6; lambda = 1 } in
+  List.iter
+    (fun s ->
+      let t = Shard.create ~shards:2 cfg in
+      let h = head_on cfg ~shards:2 s in
+      let follow_ups = ref [] in
+      Shard.insert t ~machine:0 [ vs h; vi 1 ] ~on_done:(fun () ->
+          Shard.read t ~machine:1 (Template.headed "nowhere" [ Template.Any ])
+            ~on_done:(fun r -> follow_ups := Option.is_some r :: !follow_ups));
+      Shard.run t;
+      let what = Printf.sprintf "insert owned by shard %d" s in
+      Alcotest.(check (list bool)) (what ^ ": follow-up completed once, empty") [ false ]
+        !follow_ups;
+      Alcotest.(check int) (what ^ ": shard 0 answered it") 1
+        (Sim.Stats.count (System.stats (Shard.sub t 0)) "ops.read");
+      Alcotest.(check (list (pair string string))) (what ^ ": quiescent") []
+        (Shard.check_quiescent t))
+    [ 0; 1 ]
+
+(* ------------------------------------------------------------------ *)
 (* Cross-shard snapshot atomicity                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -130,11 +160,7 @@ let test_stats_merge_independent () =
 let test_snapshot_atomicity () =
   let cfg = { System.default_config with n = 6; lambda = 1 } in
   let t = Shard.create ~shards:2 cfg in
-  let name h =
-    (Obj_class.classify cfg.System.classing
-       (Pobj.make ~uid:(Uid.make ~machine:0 ~serial:0) [ vs h; vi 0 ]))
-      .Obj_class.name
-  in
+  let name = name_of cfg in
   let heads = [ "a"; "b"; "c"; "d"; "e"; "f" ] in
   let h0 = List.find (fun h -> Shard.shard_of_class ~shards:2 (name h) = 0) heads in
   let h1 = List.find (fun h -> Shard.shard_of_class ~shards:2 (name h) = 1) heads in
@@ -217,11 +243,7 @@ let test_replay_pin () =
    heads elsewhere — the adversarial colocation the rebalancer exists
    to fix. *)
 let colocated_heads cfg ~shards ~hot ~cold =
-  let name h =
-    (Obj_class.classify cfg.System.classing
-       (Pobj.make ~uid:(Uid.make ~machine:0 ~serial:0) [ vs h; vi 0 ]))
-      .Obj_class.name
-  in
+  let name = name_of cfg in
   let hs = ref [] and cs = ref [] and i = ref 0 in
   while List.length !hs < hot || List.length !cs < cold do
     let h = Printf.sprintf "h%d" !i in
@@ -365,6 +387,66 @@ let test_rebalance_fast_read_token () =
     (Sim.Stats.count (System.stats sys) "paso.fast_reads" > fr0)
 
 (* ------------------------------------------------------------------ *)
+(* Refused operations leave no coordinator state behind                *)
+(* ------------------------------------------------------------------ *)
+
+(* A refused insert must not register its class: in an otherwise empty
+   2-shard composition, a wildcard read afterwards has no candidate and
+   takes the no-candidate route to shard 0 — a phantom class owned by
+   shard 1 would have routed it there instead. *)
+let test_refused_insert_no_phantom () =
+  let cfg = { System.default_config with n = 6; lambda = 1 } in
+  let t = Shard.create ~shards:2 cfg in
+  let ghost = head_on cfg ~shards:2 1 in
+  Alcotest.check_raises "insert on an out-of-range machine"
+    (Invalid_argument "System.insert: bad machine id") (fun () ->
+      Shard.insert t ~machine:6 [ vs ghost; vi 0 ] ~on_done:ignore);
+  Shard.crash t ~machine:5;
+  Alcotest.check_raises "insert on a down machine"
+    (Invalid_argument "System.insert: machine is down") (fun () ->
+      Shard.insert t ~machine:5 [ vs ghost; vi 0 ] ~on_done:ignore);
+  let got = ref [] in
+  Shard.read t ~machine:0
+    (Template.make [ Template.Any; Template.Any ])
+    ~on_done:(fun r -> got := Option.is_some r :: !got);
+  Shard.run t;
+  Alcotest.(check (list bool)) "answered once, empty" [ false ] !got;
+  Alcotest.(check int) "no phantom class: shard 1 saw no read" 0
+    (Sim.Stats.count (System.stats (Shard.sub t 1)) "ops.read");
+  Alcotest.(check int) "shard 0 answered the wildcard read" 1
+    (Sim.Stats.count (System.stats (Shard.sub t 0)) "ops.read")
+
+(* Refused reads, takes and snapshots must not pin their candidate
+   classes: the hot classes below are each the target of refused ops
+   before the skewed drive, and must still migrate off the hot shard —
+   a leaked pin would keep them ineligible forever. *)
+let test_refused_ops_leave_no_pins () =
+  let cfg = { System.default_config with n = 6; lambda = 1 } in
+  let t = Shard.create ~shards:4 ~rebalance:Rebalance.default_cfg cfg in
+  let hot, cold, name = colocated_heads cfg ~shards:4 ~hot:3 ~cold:4 in
+  List.iter (fun h -> Shard.insert t ~machine:0 [ vs h; vi 0 ] ~on_done:ignore) hot;
+  Shard.run t;
+  Shard.crash t ~machine:5;
+  List.iter
+    (fun h ->
+      let tmpl = Template.headed h [ Template.Any ] in
+      Alcotest.check_raises "read on a down machine"
+        (Invalid_argument "System.read: machine is down") (fun () ->
+          Shard.read t ~machine:5 tmpl ~on_done:ignore);
+      Alcotest.check_raises "read_del on an out-of-range machine"
+        (Invalid_argument "System.read_del: bad machine id") (fun () ->
+          Shard.read_del t ~machine:6 tmpl ~on_done:ignore);
+      Alcotest.check_raises "snapshot on a down machine"
+        (Invalid_argument "System.snapshot: machine is down") (fun () ->
+          Shard.snapshot t ~machine:5 tmpl ~on_done:ignore))
+    hot;
+  Shard.recover t ~machine:5;
+  drive_skewed ~domains:1 t hot cold;
+  let moved = List.filter (fun h -> List.mem_assoc (name h) (Shard.placements t)) hot in
+  Alcotest.(check bool) "hot classes still migrate" true (moved <> []);
+  Alcotest.(check (list (pair string string))) "quiescent" [] (Shard.check_quiescent t)
+
+(* ------------------------------------------------------------------ *)
 (* Live adaptive policies under the sharded engine                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -426,8 +508,12 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "spsc mailbox" `Quick test_mailbox;
+          Alcotest.test_case "post during the drain" `Quick test_drain_time_post;
           Alcotest.test_case "parallel map reassembly" `Quick test_parallel;
+          Alcotest.test_case "refused insert registers no class" `Quick
+            test_refused_insert_no_phantom;
+          Alcotest.test_case "refused ops pin nothing" `Quick
+            test_refused_ops_leave_no_pins;
         ] );
       ( "determinism",
         [

@@ -285,7 +285,7 @@ let test_insert_cost_matches_closed_form () =
   let sys = make ~n:8 ~lambda:2 () in
   (* Prefill so the class and its write group already exist. *)
   insert_sync sys ~machine:0 [ v_sym "f1"; v_int 0 ];
-  let cm = (System.config sys).System.cost in
+  let cm = Net.Cost_model.default in
   let stats = System.stats sys in
   let before = Sim.Stats.total stats "net.msg_cost" in
   let o =
@@ -311,7 +311,7 @@ let test_remote_read_cost_matches_closed_form () =
     List.find (fun m -> not (List.mem m (System.basic_support sys ~cls)))
       (List.init 8 Fun.id)
   in
-  let cm = (System.config sys).System.cost in
+  let cm = Net.Cost_model.default in
   let stats = System.stats sys in
   let before = Sim.Stats.total stats "net.msg_cost" in
   let tmpl = Template.headed "f1" [ Template.Any ] in

@@ -13,6 +13,13 @@
 #
 # The allow-list below names whole files, one per line, each followed
 # by the one-line reason the file's globals are safe.
+#
+# Second rule: no file under lib/ other than lib/sim/parallel.ml may
+# mention [Atomic.], [Mutex.], [Condition.] or [Domain.spawn]. Shards
+# hand work to the coordinator through plain queues, and the barrier at
+# the end of each Sim.Parallel round is the only hand-off between
+# domains; the worker pool behind it stays the one place that
+# synchronises them.
 set -eu
 
 allow=$(cat <<'EOF'
@@ -58,4 +65,14 @@ if [ "$bad" -ne 0 ]; then
   echo "build it eagerly if it is immutable, or allow-list the file with a reason"
   exit 1
 fi
-echo "global-state lint OK (no top-level lazy / ref / Hashtbl.create under lib/)"
+
+sync=$(find lib \( -name '*.ml' -o -name '*.mli' \) ! -path lib/sim/parallel.ml | sort |
+  xargs grep -nE '(^|[^A-Za-z0-9_])(Atomic|Mutex|Condition)\.|(^|[^A-Za-z0-9_])Domain\.spawn' || true)
+if [ -n "$sync" ]; then
+  echo "$sync" | sed 's/^/FAIL /'
+  echo "synchronisation lint failed: only lib/sim/parallel.ml may use Atomic, Mutex,"
+  echo "Condition or Domain.spawn; hand work across domains at the Sim.Parallel barrier"
+  exit 1
+fi
+echo "global-state lint OK (no top-level lazy / ref / Hashtbl.create under lib/;"
+echo "Atomic / Mutex / Condition / Domain.spawn only in lib/sim/parallel.ml)"
