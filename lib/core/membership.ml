@@ -41,6 +41,7 @@ type t = {
          quorum *)
   probation_gen : (string, int) Hashtbl.t;
   mutable gates_probation : bool; (* durability attached *)
+  mutable total_load : int; (* every [note_load] charge, never drained *)
 }
 
 let create ~n ~lambda ~seed ~use_read_groups ~group_map ~servers ~engine ~stats ~trace =
@@ -61,6 +62,7 @@ let create ~n ~lambda ~seed ~use_read_groups ~group_map ~servers ~engine ~stats 
     prob_waiters = Hashtbl.create 8;
     probation_gen = Hashtbl.create 8;
     gates_probation = false;
+    total_load = 0;
   }
 
 let attach_vsync m v =
@@ -357,11 +359,9 @@ type token = { tk_mut : int; tk_view : int; tk_loss : int }
 let mutation_serial m ~cls =
   match Hashtbl.find_opt m.classes cls with Some cs -> cs.mut | None -> 0
 
-let note_mutation_cs cs = cs.mut <- cs.mut + 1
-
 let note_mutation m ~cls =
   match Hashtbl.find_opt m.classes cls with
-  | Some cs -> note_mutation_cs cs
+  | Some cs -> cs.mut <- cs.mut + 1
   | None -> ()
 
 let class_token m ~cls =
@@ -380,12 +380,18 @@ let fresh_guard m ~cls ~group =
 
 (* --- per-class load accounting (rebalancer demand signal) ---------------- *)
 
-let note_load_cs cs w = cs.load <- cs.load +. w
+(* Integer weights keep the total exact, and an int field of this mixed
+   record updates without allocating. *)
+let note_load m cs w =
+  cs.load <- cs.load +. float_of_int w;
+  m.total_load <- m.total_load + w
+
+let total_load m = float_of_int m.total_load
 
 (* §4 cost-model weight of one replicated op against the class: the
    message term of α(2g+1), with g its basic-support size. The absolute
    scale only matters relative to [Rebalance]'s migration cost. *)
-let op_weight cs = float_of_int ((2 * List.length cs.basic) + 1)
+let op_weight cs = (2 * List.length cs.basic) + 1
 
 let take_loads m =
   let acc = ref [] in

@@ -25,12 +25,11 @@ type cls = {
           support repair), sorted *)
   mutable mut : int;
       (** the class's mutation serial — read it through
-          {!mutation_serial}, advance it through {!note_mutation} /
-          {!note_mutation_cs} *)
+          {!mutation_serial}, advance it through {!note_mutation} *)
   mutable load : float;
       (** §4 cost-model weighted op count since the last {!take_loads}
           — the rebalancer's per-class demand signal, advanced through
-          {!note_load_cs} at issue sites that already hold the record *)
+          {!note_load} at issue sites that already hold the record *)
 }
 
 (** State-transfer payload: the full snapshot of the ordinary join
@@ -117,8 +116,6 @@ val check_fault_tolerance : t -> (string * int) list
 (** Classes currently violating [|wg(C)| > λ − k], with their
     operational write-group sizes. *)
 
-val up_count : t -> int
-
 val live_count : t -> cls:string -> int
 (** ℓ: live objects in the class, read from the lowest operational
     replica (0 if none). *)
@@ -201,11 +198,6 @@ val note_mutation : t -> cls:string -> unit
     (batching, fast reads) is currently configured. A no-op for
     unknown classes (delivered mutations always target ensured ones). *)
 
-val note_mutation_cs : cls -> unit
-(** {!note_mutation} through an already-resolved registry entry: the
-    deliver callback sits on the hottest path in the system and has
-    the entry in hand. *)
-
 val class_token : t -> cls:string -> token
 (** The class's current freshness token. *)
 
@@ -218,13 +210,18 @@ val fresh_guard : t -> cls:string -> group:string -> unit -> bool
 
 (** {1 Per-class load accounting (rebalancer demand signal)} *)
 
-val note_load_cs : cls -> float -> unit
-(** Charge [w] cost-model units of demand to the class: called at op
-    issue with the registry entry already in hand (the §4 weights —
-    [2g+1] for a replicated op, [1] for a local read — are computed by
-    the caller, which knows the op shape). *)
+val note_load : t -> cls -> int -> unit
+(** Charge [w] cost-model units of demand to the class and to this
+    membership's running total: called at op issue with the registry
+    entry already in hand (the §4 weights — [2g+1] for a replicated
+    op, [1] for a local read — are computed by the caller, which knows
+    the op shape). *)
 
-val op_weight : cls -> float
+val total_load : t -> float
+(** Every unit {!note_load} has charged here since creation; never
+    drained, and exact (the weights are integers). *)
+
+val op_weight : cls -> int
 (** §4 cost-model weight of one replicated op against the class: the
     message term of α(2g+1), with g its basic-support size. The
     absolute scale only matters relative to [Rebalance]'s migration
@@ -234,8 +231,8 @@ val take_loads : t -> (string * float) list
 (** Drain the per-class demand accumulated since the previous call:
     sorted [(class, load)] pairs with every drained cell reset to zero,
     classes with zero demand omitted. Called by the sharded engine at
-    round barriers; shard-local, so merging the drains in shard-index
-    order is domain-count independent. *)
+    round barriers when a rebalancer is armed; shard-local, so merging
+    the drains in shard-index order is domain-count independent. *)
 
 (** {1 Class migration (coordinator-side extract / install)} *)
 

@@ -27,6 +27,12 @@ type strategy =
       classify : Pobj.t -> info;
       candidates : universe:info list -> Template.t -> string list;
     }
+      (** A user partition. [candidates ~universe] must either only
+          filter [universe] (keep some of its names) or not depend on
+          it at all: the sharded engine calls it once per shard, each
+          time with that shard's classes only, and merges the answers —
+          correct exactly when the sc-list over a union of universes is
+          the union of the sc-lists over the parts. *)
 
 val label : strategy -> string
 

@@ -38,10 +38,8 @@ type t = {
   cfg : cfg;
   shards : int;
   classes : (string, entry) Hashtbl.t;
-  cum : float array;  (* cumulative per-shard load, for observability *)
   mutable rounds : int;
   mutable pending : move list;  (* selected but deferred (in-flight ops) *)
-  mutable migrations : int;
   mutable deferrals : int;
 }
 
@@ -54,15 +52,11 @@ let create ?(cfg = default_cfg) ~shards () =
     cfg;
     shards;
     classes = Hashtbl.create 64;
-    cum = Array.make shards 0.0;
     rounds = 0;
     pending = [];
-    migrations = 0;
     deferrals = 0;
   }
 
-let shard_loads t = Array.copy t.cum
-let migrations t = t.migrations
 let deferrals t = t.deferrals
 
 let entry t cls ~shard =
@@ -156,7 +150,6 @@ let round t ~loads ~eligible =
   t.rounds <- t.rounds + 1;
   List.iter
     (fun (cls, load, shard) ->
-      t.cum.(shard) <- t.cum.(shard) +. load;
       let e = entry t cls ~shard in
       e.e_window <- e.e_window +. load)
     loads;
@@ -178,5 +171,4 @@ let round t ~loads ~eligible =
   in
   t.pending <- still;
   t.deferrals <- t.deferrals + List.length still;
-  t.migrations <- t.migrations + List.length ready;
   ready

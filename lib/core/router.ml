@@ -122,9 +122,9 @@ let template_key r tmpl =
   if List.for_all spec_ok (Template.specs tmpl) then Some (Buffer.contents buf)
   else None
 
-(* Memoised candidate-class derivation. Raw sc-list only — callers
-   still filter by currently-known classes, which is cheap and keeps
-   the cached value independent of anything but the universe. [Custom]
+(* Memoised candidate-class derivation. Raw sc-list only — [candidates]
+   filters by currently-known classes, which is cheap and keeps the
+   cached value independent of anything but the universe. [Custom]
    strategies may close over external state, so they bypass the cache. *)
 let sc_list r tmpl =
   let derive () = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
@@ -149,6 +149,10 @@ let sc_list r tmpl =
             let result = derive () in
             Hashtbl.add r.sc_cache key result;
             result)
+
+(* The classes an operation on [tmpl] visits: the memoised sc-list
+   restricted to classes that exist here, in name order. *)
+let candidates r tmpl = sc_list r tmpl |> List.filter (Membership.knows r.mem)
 
 (* --- read-group restriction --------------------------------------------- *)
 
@@ -212,7 +216,6 @@ let fan_out_ordered r ~group ~from msg ~on_done =
 
 (* --- marker fan-out (§4.3 read-markers) ---------------------------------- *)
 
-let marker_classes r tmpl = sc_list r tmpl |> List.filter (Membership.knows r.mem)
 
 (* Marker traffic rides the batched entry point (it coalesces with the
    op stream) and is silently dropped for unknown classes or a dead
@@ -230,7 +233,7 @@ let place_markers r (w : Op.waiter) =
       Sim.Stats.incr_counter r.c_marker_placements;
       gcast_marker r ~machine:w.w_machine
         (Server.Place_marker { cls; mid = w.w_id; machine = w.w_machine; tmpl = w.w_tmpl }))
-    (marker_classes r w.w_tmpl)
+    (candidates r w.w_tmpl)
 
 (* The member that serves a marker's wake-up once a matching store
    fires it. Markers are replicated to the full write group (a marker
@@ -246,14 +249,14 @@ let cancel_markers r (w : Op.waiter) =
     List.iter
       (fun cls ->
         gcast_marker r ~machine:w.w_machine (Server.Cancel_marker { cls; mid = w.w_id }))
-      (marker_classes r w.w_tmpl)
+      (candidates r w.w_tmpl)
 
 (* Markers for templates that may match classes created later: when a
    class appears, arm every parked waiter whose criterion covers it. *)
 let arm_new_class r waiters ~cls =
   List.iter
     (fun (w : Op.waiter) ->
-      if Vsync.is_up (vs r) w.w_machine && List.mem cls (marker_classes r w.w_tmpl)
+      if Vsync.is_up (vs r) w.w_machine && List.mem cls (candidates r w.w_tmpl)
       then begin
         Sim.Stats.incr_counter r.c_marker_placements;
         gcast_marker r ~machine:w.w_machine

@@ -55,8 +55,14 @@ val sc_list : t -> Template.t -> string list
     per structural template signature (hits and misses counted under
     ["cache.sc_hits"] / ["cache.sc_misses"]). [Pred] specs and
     [Custom] strategies bypass the cache — their behaviour is a
-    closure with no serialisable identity. Raw sc-list only: callers
-    still filter by currently-known classes. *)
+    closure with no serialisable identity. Raw sc-list only: see
+    {!candidates} for the filtered list operations walk. *)
+
+val candidates : t -> Template.t -> string list
+(** The classes an operation on the template visits: {!sc_list}
+    restricted to the classes currently known here, in name order.
+    Reads, takes, snapshots and a waiter's markers all cover exactly
+    this list. *)
 
 val invalidate : t -> unit
 (** The class universe changed: drop the memoised universe and every
@@ -121,12 +127,9 @@ val fan_out_ordered :
 
 (** {1 Marker fan-out (§4.3 read-markers)} *)
 
-val marker_classes : t -> Template.t -> string list
-(** The currently-known candidate classes a waiter's markers cover. *)
-
 val place_markers : t -> Op.waiter -> unit
-(** Gcast a marker placement to every known candidate class's write
-    group (each placement counted under ["paso.marker_placements"]). *)
+(** Gcast a marker placement to the write group of every class in
+    {!candidates} (each placement counted under ["paso.marker_placements"]). *)
 
 val wake_agent : t -> group:string -> int
 (** The member that serves a marker's wake-up when a matching store

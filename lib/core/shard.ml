@@ -15,8 +15,6 @@ type t = {
          pushes and pops. Sim.Parallel.run returning is the hand-off:
          its barrier carries the happens-before edges, so no queue is
          ever touched by two domains at once. *)
-  known : (string, unit) Hashtbl.t;
-  mutable universe : Obj_class.info list; (* sorted by name *)
   mutable xretries : int;
   overlay : (string, int) Hashtbl.t;
       (* class → shard for migrated classes; consulted ahead of the
@@ -25,7 +23,6 @@ type t = {
   fp : Sim.Failpoint.t;
       (* coordinator-level registry — the per-shard Systems each carry
          their own; this one covers barrier-time sites *)
-  cum_load : float array; (* drained §4-weighted load per shard *)
   mutable nmigrations : int;
   mutable ndeferred : int; (* moves dropped at apply time (crash races) *)
 }
@@ -78,8 +75,6 @@ let create ?(tracing = false) ~shards ?(domains = 1) ?rebalance cfg =
     domains;
     sys;
     out = Array.init shards (fun _ -> Queue.create ());
-    known = Hashtbl.create 64;
-    universe = [];
     xretries = 0;
     overlay = Hashtbl.create 16;
     rb =
@@ -87,7 +82,6 @@ let create ?(tracing = false) ~shards ?(domains = 1) ?rebalance cfg =
         (fun cfg -> { reb = Rebalance.create ~cfg ~shards (); pins = Hashtbl.create 64 })
         rebalance;
     fp = Sim.Failpoint.create ();
-    cum_load = Array.make shards 0.0;
     nmigrations = 0;
     ndeferred = 0;
   }
@@ -101,9 +95,8 @@ let owner t cls =
   | None -> shard_of_class ~shards:t.shards cls
 
 let cross_retries t = t.xretries
-let rebalancing t = t.rb <> None
 let failpoints t = t.fp
-let shard_loads t = Array.copy t.cum_load
+let shard_loads t = Array.map System.total_load t.sys
 let migrations t = t.nmigrations
 
 let deferrals t =
@@ -175,23 +168,24 @@ let apply_move t { Rebalance.mv_cls = cls; mv_from = src; mv_to = dst } =
     false
   end
 
-(* Round-barrier tick: drain the §4-weighted per-class load counters in
-   shard-index order — the merged triples are a pure function of the
-   round sequence, so everything derived from them (including every
-   migration decision) is byte-identical at any domain count — then let
-   the rebalancer decide and apply its moves. Returns whether any
-   migration was attempted, which keeps the round loop alive so a
-   post-migration round re-establishes quiescence. *)
+(* Round-barrier tick, a no-op unless a rebalancer is armed: drain the
+   §4-weighted per-class load counters in shard-index order — the merged
+   triples are a pure function of the round sequence, so everything
+   derived from them (including every migration decision) is
+   byte-identical at any domain count — then let the rebalancer decide
+   and apply its moves. Returns whether any migration was attempted,
+   which keeps the round loop alive so a post-migration round
+   re-establishes quiescence. *)
 let barrier_tick t =
-  let loads =
-    List.concat
-      (List.init t.shards (fun s ->
-           List.map (fun (cls, w) -> (cls, w, s)) (System.take_class_loads t.sys.(s))))
-  in
-  List.iter (fun (_, w, s) -> t.cum_load.(s) <- t.cum_load.(s) +. w) loads;
   match t.rb with
   | None -> false
   | Some { reb; pins } ->
+      let loads =
+        List.concat
+          (List.init t.shards (fun s ->
+               let drained = System.take_class_loads t.sys.(s) in
+               List.map (fun (cls, w) -> (cls, w, s)) drained))
+      in
       let eligible cls =
         (not (Hashtbl.mem pins cls)) && System.class_migratable t.sys.(owner t cls) ~cls
       in
@@ -230,22 +224,21 @@ let advance_to t horizon = rounds t (fun s -> System.run_until t.sys.(s) horizon
 
 let now t = Array.fold_left (fun acc s -> Float.max acc (System.now s)) 0.0 t.sys
 
-(* --- class registry and routing ----------------------------------------- *)
+(* --- routing ------------------------------------------------------------- *)
 
-let note_class t info =
-  if not (Hashtbl.mem t.known info.Obj_class.name) then begin
-    Hashtbl.replace t.known info.Obj_class.name ();
-    t.universe <-
-      List.merge
-        (fun a b -> compare a.Obj_class.name b.Obj_class.name)
-        [ info ] t.universe
-  end
-
-(* Global candidate classes for a template, filtered (like System's
-   operations) to classes that exist. *)
+(* Global candidate classes for a template: each shard's own memoised
+   candidates, merged by name. Shards partition the classes and every
+   built-in sc-list filters its universe, so the merge is exactly the
+   sc-list over all classes that exist. The coordinator needs them only
+   to route between shards and to pin classes against migration; a
+   1-shard composition does neither (one owner, nothing can move), so
+   it skips the lookup and its stat bank stays that of a bare System. *)
 let candidates t tmpl =
-  Obj_class.sc_list t.cfg.System.classing ~universe:t.universe tmpl
-  |> List.filter (Hashtbl.mem t.known)
+  if t.shards = 1 then []
+  else
+    Array.fold_left
+      (fun acc s -> List.merge compare acc (System.candidates s tmpl))
+      [] t.sys
 
 (* Owning shards in order of first candidate appearance: the global
    read walk is shard-major (all of a shard's candidates, then the
@@ -253,33 +246,29 @@ let candidates t tmpl =
    shard 0, which records and fails the op exactly like the plain
    System would — keeping the 1-shard composition byte-identical to an
    unsharded run. *)
-let owners_of t cands =
-  let seen = Array.make t.shards false in
-  match
-    List.filter_map
-      (fun c ->
-        let s = owner t c in
-        if seen.(s) then None
-        else begin
-          seen.(s) <- true;
-          Some s
-        end)
-      cands
-  with
+let owners_of t = function
   | [] -> [ 0 ]
-  | owners -> owners
+  | cands ->
+      let seen = Array.make t.shards false in
+      List.filter_map
+        (fun c ->
+          let s = owner t c in
+          if seen.(s) then None
+          else begin
+            seen.(s) <- true;
+            Some s
+          end)
+        cands
 
 (* --- primitives --------------------------------------------------------- *)
 
 (* Each primitive checks its machine before any coordinator bookkeeping:
-   a refused op must leave no class in the universe and no pin behind.
-   Up-state is mirrored across shards, so shard 0 answers for all. *)
+   a refused op must leave no pin behind. Up-state is mirrored across
+   shards, so shard 0 answers for all. *)
 let insert t ~machine fields ~on_done =
   System.require_up t.sys.(0) machine "System.insert";
   let probe = Pobj.make ~uid:(Uid.make ~machine ~serial:0) fields in
-  let info = Obj_class.classify t.cfg.System.classing probe in
-  note_class t info;
-  let cls = info.Obj_class.name in
+  let cls = Obj_class.class_of t.cfg.System.classing probe in
   let s = owner t cls in
   hold t cls;
   System.insert t.sys.(s) ~machine fields
@@ -403,7 +392,6 @@ let snapshot t ~machine tmpl ~on_done =
 let crash t ~machine = Array.iter (fun s -> System.crash s ~machine) t.sys
 let recover t ~machine = Array.iter (fun s -> System.recover s ~machine) t.sys
 let is_up t machine = System.is_up t.sys.(0) machine
-let up_count t = System.up_count t.sys.(0)
 
 (* --- merged observation ------------------------------------------------- *)
 
@@ -434,9 +422,6 @@ let rendered_trace t =
     t.sys;
   Buffer.contents b
 
-let waiter_count t = Array.fold_left (fun acc s -> acc + System.waiter_count s) 0 t.sys
-
 let concat_over t f = Array.to_list t.sys |> List.concat_map f
 let audit_replicas t = concat_over t System.audit_replicas
-let check_fault_tolerance t = concat_over t System.check_fault_tolerance
 let check_quiescent t = concat_over t System.check_quiescent

@@ -40,9 +40,16 @@
     up/down is mirrored across shards by fanning {!crash}/{!recover}
     out in shard-index order. Object uids are per-shard (two shards may
     both mint [(machine, serial)] — uids are only compared within a
-    class, and a class lives on exactly one shard). Reads walk the
-    global candidate list {e shard-major}: all of one shard's candidate
-    classes before the next shard's, shards in index order. *)
+    class, and a class lives on exactly one shard). The coordinator
+    keeps no class registry of its own: a template's global candidate
+    list is the name-ordered merge of every shard's memoised
+    {!System.candidates}, and reads walk it {e shard-major}: all of one
+    shard's candidate classes before the next shard's, the owning
+    shards in the order their first candidate appears by name. A
+    1-shard composition routes everything to its one System and skips
+    the lookup. The only state the coordinator keeps beside its
+    Systems is its own: outboxes, the migration overlay, in-flight pins
+    and the rebalancer. *)
 
 type t
 
@@ -62,9 +69,10 @@ val create :
     cost-model-weighted per-class load counters in shard-index order
     and feeds a {!Rebalance.t}; matured moves are applied right there —
     engines idle, merged state only — so rebalanced runs stay
-    byte-identical at any [domains]. A 1-shard composition never
-    migrates (there is nowhere to go), keeping it byte-identical to a
-    bare {!System}.
+    byte-identical at any [domains]. Without [rebalance] no barrier
+    touches the load counters. A 1-shard composition never migrates
+    (there is nowhere to go), keeping it byte-identical to a bare
+    {!System}.
 
     Each shard gets its own adaptive-policy instance
     ({!Policy.t.clone} of [config.policy]) — counters are keyed
@@ -81,19 +89,15 @@ val sub : t -> int -> System.t
 (** Shard [k]'s sub-system, e.g. for arming per-shard failpoints. *)
 
 val systems : t -> System.t array
-val owner : t -> string -> int
-(** The shard owning a class name: the migration overlay first, then
-    [shard_of_class]. *)
 
 (** {1 Rebalancing observability} *)
 
-val rebalancing : t -> bool
-(** Whether load-aware class migration is enabled. *)
-
 val shard_loads : t -> float array
-(** Cumulative §4-weighted load drained per shard at round barriers
-    (the ["shard.load[s]"] surface) — maintained whether or not
-    rebalancing is on, so static and rebalanced runs can be compared. *)
+(** Per shard, the §4-weighted load its System has charged since
+    creation ({!System.total_load}; the ["shard.load[s]"] surface) —
+    kept whether or not rebalancing is on, so static and rebalanced
+    runs can be compared. A class's load counts on the shard that
+    owned it when the op was issued. *)
 
 val migrations : t -> int
 (** Class migrations actually performed. *)
@@ -180,7 +184,6 @@ val crash : t -> machine:int -> unit
 
 val recover : t -> machine:int -> unit
 val is_up : t -> int -> bool
-val up_count : t -> int
 
 (** {1 Merged observation} *)
 
@@ -197,10 +200,8 @@ val rendered_trace : t -> string
 (** The shards' rendered traces concatenated in shard-index order —
     the canonical merged trace the sharded determinism pins digest. *)
 
-val waiter_count : t -> int
 val audit_replicas : t -> (string * string) list
 (** Per-shard {!System.audit_replicas}, concatenated in shard-index
     order. *)
 
-val check_fault_tolerance : t -> (string * int) list
 val check_quiescent : t -> (string * string) list

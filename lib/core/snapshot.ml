@@ -53,7 +53,7 @@ let snapshot t ~machine tmpl ~on_done =
   t.seq <- sid + 1;
   ignore (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:sid ());
   let op = Op.make t.opctl ~machine ~op_id:sid in
-  let candidates = Router.sc_list t.router tmpl |> List.filter (Membership.knows t.mem) in
+  let candidates = Router.candidates t.router tmpl in
   let acc : (string, snapshot_class) Hashtbl.t = Hashtbl.create 8 in
   let finish result = if Op.finish op ~ok:(result <> None) then on_done result in
   Op.arm_deadline op ~on_expire:(fun () -> on_done None);

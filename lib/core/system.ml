@@ -38,13 +38,13 @@ let now t = Sim.Engine.now t.eng
 let run t = Sim.Engine.run t.eng
 let run_until t horizon = Sim.Engine.run_until t.eng horizon
 let is_up t machine = Vsync.is_up t.vs machine
-let up_count t = Membership.up_count t.mem
 let tracef t fmt = Sim.Trace.emitf t.strace ~time:(now t) ~tag:"paso" fmt
 
 (* --- delegation to the layers ------------------------------------------- *)
 
 let known_classes t = Router.universe t.router
 let sc_list t tmpl = Router.sc_list t.router tmpl
+let candidates t tmpl = Router.candidates t.router tmpl
 let class_of_obj t o = Router.class_of t.router o
 let basic_support t ~cls = Membership.basic_support t.mem ~cls
 let write_group t ~cls = Membership.write_group t.mem ~cls
@@ -62,6 +62,7 @@ let apply_policy t ~machine ~cls event =
   Membership.apply_policy t.mem ~policy:t.cfg.policy ~machine ~cls event
 
 let take_class_loads t = Membership.take_loads t.mem
+let total_load t = Membership.total_load t.mem
 
 let require_up t machine op =
   if machine < 0 || machine >= t.cfg.n then invalid_arg (op ^ ": bad machine id");
@@ -86,7 +87,7 @@ let insert t ~machine fields ~on_done =
   let o = Pobj.make ~uid fields in
   let info = Router.classify t.router o in
   let cs = ensure_class t info in
-  Membership.note_load_cs cs (Membership.op_weight cs);
+  Membership.note_load t.mem cs (Membership.op_weight cs);
   let r = History.begin_op t.hist ~machine ~kind:History.Insert ~obj:o ~now:(now t) () in
   History.note_inserted t.hist o ~cls:info.Obj_class.name ~now:(now t);
   Sim.Stats.incr_counter t.hs.h_ops_insert;
@@ -120,7 +121,6 @@ let read_gen t ~machine ~kind tmpl ~on_done =
   ignore
     (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:r.History.op_id ());
   let op = Op.make t.opctl ~machine ~op_id:r.History.op_id in
-  let candidates = Router.sc_list t.router tmpl |> List.filter (Membership.knows t.mem) in
   let finish result =
     if Op.finish op ~ok:(result <> None) then begin
       History.end_op t.hist r ~now:(now t) ~result;
@@ -158,7 +158,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
               | History.Read when Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine
                 ->
                   (* Local mem-read: no messages, just Q(ℓ) work. *)
-                  Membership.note_load_cs cs 1.0;
+                  Membership.note_load t.mem cs 1;
                   let work =
                     Server.query_work t.servers.(machine) ~cls *. t.cfg.unit_work
                   in
@@ -173,7 +173,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                              { ell = Server.live_count t.servers.(machine) ~cls });
                       match resp with Some o -> finish (Some o) | None -> go rest)
               | History.Read ->
-                  Membership.note_load_cs cs (Membership.op_weight cs);
+                  Membership.note_load t.mem cs (Membership.op_weight cs);
                   let msg = Server.Mem_read { cls; tmpl } in
                   (* [fast]: restrict to a single replica, tagging the
                      request with the class's freshness token; a stale or
@@ -255,7 +255,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                   in
                   attempt ~fast:t.cfg.fast_read
               | History.Read_del | History.Insert ->
-                  Membership.note_load_cs cs (Membership.op_weight cs);
+                  Membership.note_load t.mem cs (Membership.op_weight cs);
                   let msg = Server.Remove { cls; tmpl } in
                   let straddled = Membership.straddle_guard t.mem cs.Membership.group in
                   Sim.Stats.incr_counter t.hs.h_removes;
@@ -278,7 +278,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
             end
         end
   in
-  go candidates
+  go (candidates t tmpl)
 
 let read t ~machine tmpl ~on_done = read_gen t ~machine ~kind:History.Read tmpl ~on_done
 

@@ -343,7 +343,12 @@ val take_class_loads : t -> (string * float) list
     ({!Membership.take_loads}): §4 cost-model weighted op counts,
     charged at issue — [2g+1] for replicated inserts / remote reads /
     removes, [1] for local reads. The sharded engine drains every
-    shard at its round barriers to feed the rebalancer. *)
+    shard at its round barriers when a rebalancer is armed. *)
+
+val total_load : t -> float
+(** Every unit of demand charged here since creation, in the same §4
+    weights: a running total that {!take_class_loads} does not
+    drain. *)
 
 (** {1 Faults} *)
 
@@ -357,7 +362,6 @@ val recover : t -> machine:int -> unit
     supports. *)
 
 val is_up : t -> int -> bool
-val up_count : t -> int
 
 val require_up : t -> int -> string -> unit
 (** [require_up t machine name] is the check every primitive makes
@@ -376,7 +380,12 @@ val sc_list : t -> Template.t -> string list
     signature. The cache is invalidated whenever a class is created;
     hits and misses are counted under ["cache.sc_hits"] /
     ["cache.sc_misses"]. Includes classes no longer (or not yet)
-    known; operations additionally filter to known classes. *)
+    known; {!candidates} filters to known classes. *)
+
+val candidates : t -> Template.t -> string list
+(** The classes a read, take or snapshot of the template visits here:
+    {!sc_list} restricted to the classes this system currently knows,
+    sorted by name. *)
 
 val class_of_obj : t -> Pobj.t -> string
 

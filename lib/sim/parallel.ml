@@ -7,7 +7,7 @@ type timing = { td_domain : int; td_tasks : int; td_wall_s : float }
    sharded engine runs one Parallel round per pump) would otherwise pay
    a Domain.spawn/join per round, which dominates small rounds.
 
-   Protocol: an epoch counter under one mutex. [map] publishes a job
+   Protocol: an epoch counter under one mutex. [run] publishes a job
    (slice function + participant count), bumps the epoch and broadcasts;
    worker slot [k] wakes, runs slice [k] iff [k <= parts], decrements
    [remaining] and signals the coordinator, then waits for the next
@@ -16,7 +16,7 @@ type timing = { td_domain : int; td_tasks : int; td_wall_s : float }
    epoch can start, and the mutex hand-offs carry the happens-before
    edges spawn/join used to.
 
-   Workers mark their domain via DLS; a [map] called from inside a
+   Workers mark their domain via DLS; a [run] called from inside a
    worker (nested fan-out) falls back to ad-hoc spawning rather than
    deadlocking on its own pool. *)
 
@@ -51,8 +51,8 @@ let worker slot () =
       let f = !job and p = !parts in
       Mutex.unlock mu;
       if slot <= p then begin
-        (* [f] never raises: [map] wraps each slice in its own result
-           cell, so a task exception cannot skip the decrement and
+        (* [f] never raises: [run] parks each slice's exception in its
+           own cell, so a task exception cannot skip the decrement and
            deadlock the barrier. *)
         f slot;
         Mutex.lock mu;
@@ -81,75 +81,66 @@ let ensure_workers needed =
         (Array.init (needed - have) (fun k -> Domain.spawn (worker (have + k + 1))))
   end
 
-let map ?(domains = 1) ?(now = fun () -> 0.0) ~total f =
-  if domains < 1 then invalid_arg "Parallel.map: domains < 1";
-  if total < 0 then invalid_arg "Parallel.map: negative total";
+(* The one partition and pool core. Each slice parks its exception in
+   its own cell, so a raising task neither skips a worker's decrement
+   nor leaves spawned domains unjoined; the lowest slice's exception is
+   re-raised once every slice has finished. *)
+let run ?(domains = 1) ~total f =
+  if domains < 1 then invalid_arg "Parallel.run: domains < 1";
+  if total < 0 then invalid_arg "Parallel.run: negative total";
   let slice d =
-    let t0 = now () in
-    let rows = ref [] in
-    let count = ref 0 in
     let i = ref d in
     while !i < total do
-      rows := (!i, f !i) :: !rows;
-      incr count;
+      f !i;
       i := !i + domains
-    done;
-    (!rows, !count, now () -. t0)
+    done
   in
-  let joined =
-    if domains = 1 then [ slice 0 ]
-    else if in_worker () || domains - 1 > pool_cap then begin
-      (* Nested fan-out (a pooled task that itself maps) or an oversized
-         one: ad-hoc spawn/join, exactly the pre-pool behaviour. Domain 0
-         is the calling domain, so [domains - 1] is the peak
-         extra-domain count. *)
+  if domains = 1 then slice 0
+  else begin
+    let errs = Array.make domains None in
+    let guarded d = try slice d with e -> errs.(d) <- Some e in
+    if in_worker () || domains - 1 > pool_cap then begin
+      (* Nested fan-out (a pooled task that itself fans out) or an
+         oversized one: ad-hoc spawn/join, exactly the pre-pool
+         behaviour. Domain 0 is the calling domain, so [domains - 1] is
+         the peak extra-domain count. *)
       let spawned =
-        List.init (domains - 1) (fun k -> Domain.spawn (fun () -> slice (k + 1)))
+        List.init (domains - 1) (fun k -> Domain.spawn (fun () -> guarded (k + 1)))
       in
-      slice 0 :: List.map Domain.join spawned
+      guarded 0;
+      List.iter Domain.join spawned
     end
     else begin
       ensure_workers (domains - 1);
-      let cells = Array.make domains None in
-      let run d = cells.(d) <- Some (try Ok (slice d) with e -> Error e) in
       Mutex.lock mu;
-      job := run;
+      job := guarded;
       parts := domains - 1;
       remaining := domains - 1;
       incr epoch;
       Condition.broadcast cv_job;
       Mutex.unlock mu;
-      run 0;
+      guarded 0;
       Mutex.lock mu;
       while !remaining > 0 do
         Condition.wait cv_done mu
       done;
-      Mutex.unlock mu;
-      (* Lowest-slice exception wins, after the barrier — every slice
-         has finished, so re-raising leaves the pool idle and reusable. *)
-      Array.to_list cells
-      |> List.map (function
-           | Some (Ok r) -> r
-           | Some (Error e) -> raise e
-           | None -> assert false)
-    end
-  in
-  (* Reassemble in task-index order: which domain computed a row never
-     reaches the caller. *)
-  let out = ref [||] in
-  List.iter
-    (fun (rows, _, _) ->
-      List.iter
-        (fun (i, row) ->
-          if Array.length !out = 0 then out := Array.make total row;
-          !out.(i) <- row)
-        rows)
-    joined;
-  let timing =
-    List.mapi
-      (fun d (_, tasks, wall) -> { td_domain = d; td_tasks = tasks; td_wall_s = wall })
-      joined
-  in
-  (!out, timing)
+      Mutex.unlock mu
+    end;
+    Array.iter (function Some e -> raise e | None -> ()) errs
+  end
 
-let run ?domains ~total f = ignore (map ?domains ~total f)
+(* [run] plus a result cell per task and a timing cell per domain, each
+   written by one domain and read only after [run]'s barrier. *)
+let map ?(domains = 1) ?(now = fun () -> 0.0) ~total f =
+  let cells = Array.make (max total 0) None in
+  let d = max domains 1 in
+  let tasks = Array.make d 0 and start = Array.make d 0.0 and stop = Array.make d 0.0 in
+  run ~domains ~total (fun i ->
+      let k = i mod domains in
+      if i = k then start.(k) <- now ();
+      cells.(i) <- Some (f i);
+      tasks.(k) <- tasks.(k) + 1;
+      stop.(k) <- now ());
+  ( Array.map Option.get cells,
+    List.init d (fun k ->
+        { td_domain = k; td_tasks = tasks.(k); td_wall_s = stop.(k) -. start.(k) }) )

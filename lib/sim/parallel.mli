@@ -9,12 +9,12 @@
     reported separately.
 
     Fan-outs run on a process-global {e persistent worker pool}: the
-    first [map ~domains:(d > 1)] spawns [d - 1] worker domains which
+    first fan-out with [~domains:(d > 1)] spawns [d - 1] worker domains which
     are then reused (epoch barrier per call) instead of paying a
     domain spawn/join per call — the round-rate consumer this exists
     for is [Shard], which fans out once per pump. The pool grows on
     demand, is shared by every caller in the process, and is joined at
-    exit. A nested [map] issued from inside a pool worker falls back to
+    exit. A nested fan-out issued from inside a pool worker falls back to
     ad-hoc spawning, so composition cannot deadlock the pool.
 
     Tasks must be safe to run from several domains at once: every
@@ -22,8 +22,20 @@
     what makes the partition sound. *)
 
 type timing = { td_domain : int; td_tasks : int; td_wall_s : float }
-(** One domain's share of a run: its index, how many tasks it ran, and
-    the wall-clock seconds its slice took (by [now], when provided). *)
+(** One domain's share of a {!map}: its index, how many tasks it ran,
+    and the wall-clock seconds from the start of its first task to the
+    end of its last (by [now], when provided). *)
+
+val run : ?domains:int -> total:int -> (int -> unit) -> unit
+(** [run ~domains ~total f] runs [f i] for every [i] in [0..total-1],
+    task [i] on domain [i mod domains], and returns once every task has
+    finished. [domains] defaults to 1 (fully sequential: no pool
+    interaction, no locking); domain 0 is the calling domain. It builds
+    nothing per task: the partition and pool core that {!map} and the
+    sharded engine's rounds share. Exceptions from [f] propagate after
+    the barrier (every slice finishes first; the lowest-indexed slice's
+    exception is re-raised), leaving the pool reusable.
+    @raise Invalid_argument if [domains < 1] or [total < 0]. *)
 
 val map :
   ?domains:int ->
@@ -31,15 +43,6 @@ val map :
   total:int ->
   (int -> 'a) ->
   'a array * timing list
-(** [map ~domains ~total f] runs [f i] for every [i] in [0..total-1],
-    task [i] on domain [i mod domains], and returns the results in
-    index order plus one {!timing} per domain (in domain order).
-    [domains] defaults to 1 (fully sequential: no pool interaction, no
-    locking); domain 0 is the calling domain. [now] supplies the clock
-    for the timing report; without it every [td_wall_s] is 0.
-    Exceptions from [f] propagate after the barrier (every slice
-    finishes first; the lowest-indexed slice's exception is re-raised),
-    leaving the pool reusable. *)
-
-val run : ?domains:int -> total:int -> (int -> unit) -> unit
-(** {!map} for effect-only tasks: same partition, no result array. *)
+(** {!run} that keeps each task's result: the results in index order
+    plus one {!timing} per domain (in domain order). [now] supplies the
+    clock for the timing report; without it every [td_wall_s] is 0. *)

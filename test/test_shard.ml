@@ -386,6 +386,73 @@ let test_rebalance_fast_read_token () =
   Alcotest.(check bool) "fast path works after the move" true
     (Sim.Stats.count (System.stats sys) "paso.fast_reads" > fr0)
 
+(* With no rebalancer armed no barrier drains the per-class load
+   counters, yet [shard_loads] still reports every shard's §4-weighted
+   demand: 2g+1 per replicated insert / remote read / take, 1 per local
+   read, summed on the shard that owned the class at issue. Pinned from
+   a fixed static drive at S=4 and at S=1. *)
+let test_static_shard_loads () =
+  let cfg = { System.default_config with n = 6; lambda = 1 } in
+  let loads shards =
+    let t = Shard.create ~shards cfg in
+    let hot, cold, _ = colocated_heads cfg ~shards:4 ~hot:3 ~cold:4 in
+    drive_skewed ~ops:800 ~domains:1 t hot cold;
+    Array.to_list (Shard.shard_loads t)
+  in
+  let s4 = loads 4 and s1 = loads 1 in
+  if printing then
+    Format.printf "static loads: S=4 [%s] S=1 [%s]@."
+      (String.concat "; " (List.map string_of_float s4))
+      (String.concat "; " (List.map string_of_float s1));
+  Alcotest.(check (list (float 0.0))) "S=4 per-shard loads" [ 3267.; 86.; 76.; 177. ] s4;
+  Alcotest.(check (list (float 0.0))) "S=1 load" [ 3630. ] s1
+
+(* ------------------------------------------------------------------ *)
+(* Cross-shard scan order                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Eight classes spread over four shards, one object each. The global
+   walk is shard-major: owning shards in the order their first
+   candidate appears in name order, each shard's classes in name
+   order. So an Any-head read answers from the first class in name
+   order, and successive takes drain one shard's classes before moving
+   on to the next owning shard. *)
+let test_cross_shard_scan_order () =
+  let cfg = { System.default_config with n = 6; lambda = 1 } in
+  let heads = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ] in
+  let shard h = Shard.shard_of_class ~shards:4 (name_of cfg h) in
+  let t = Shard.create ~shards:4 cfg in
+  List.iteri
+    (fun i h -> Shard.insert t ~machine:(i mod 6) [ vs h; vi i ] ~on_done:ignore)
+    heads;
+  Shard.run t;
+  let head_of = function
+    | Some o -> Value.to_string (Pobj.field o 0)
+    | None -> "-"
+  in
+  let any = Template.make [ Template.Any; Template.Any ] in
+  let first = ref "" in
+  Shard.read t ~machine:1 any ~on_done:(fun r -> first := head_of r);
+  Shard.run t;
+  let taken = ref [] in
+  for i = 0 to List.length heads do
+    Shard.read_del t ~machine:(i mod 6) any ~on_done:(fun r ->
+        taken := head_of r :: !taken);
+    Shard.run t
+  done;
+  let taken = List.rev !taken in
+  if printing then
+    Format.printf "scan order: first %s, taken [%s]@." !first (String.concat "; " taken);
+  (* a..h live on shards 3,2,1,0,3,2,1,0: owners go 3,2,1,0, and each
+     owner's two classes drain before the next owner is visited *)
+  Alcotest.(check (list int)) "class layout" [ 3; 2; 1; 0; 3; 2; 1; 0 ]
+    (List.map shard heads);
+  Alcotest.(check string) "read answers from the first class by name" "a" !first;
+  Alcotest.(check (list string))
+    "takes walk shard-major, then fail"
+    [ "a"; "e"; "b"; "f"; "c"; "g"; "d"; "h"; "-" ]
+    taken
+
 (* ------------------------------------------------------------------ *)
 (* Refused operations leave no coordinator state behind                *)
 (* ------------------------------------------------------------------ *)
@@ -538,6 +605,11 @@ let () =
             test_rebalance_single_shard_noop;
           Alcotest.test_case "freshness token survives migration" `Quick
             test_rebalance_fast_read_token;
+          Alcotest.test_case "static shard loads pinned" `Quick test_static_shard_loads;
+        ] );
+      ( "routing",
+        [
+          Alcotest.test_case "cross-shard scan order" `Quick test_cross_shard_scan_order;
         ] );
       ( "policy",
         [
