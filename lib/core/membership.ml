@@ -15,7 +15,7 @@ type cls = {
          sites that already hold the record and drained at round
          barriers. *)
 }
-type xfer = Full of Server.snapshot | Delta of Server.delta
+type xfer = Full of Server.image | Delta of Server.delta
 type vsync = (Server.msg, Pobj.t, xfer) Vsync.t
 
 type t = {

@@ -32,9 +32,9 @@ type cls = {
           {!note_load} at issue sites that already hold the record *)
 }
 
-(** State-transfer payload: the full snapshot of the ordinary join
-    path, or the delta of the durable-recovery reconciliation path. *)
-type xfer = Full of Server.snapshot | Delta of Server.delta
+(** State-transfer payload: the full image of the ordinary join path,
+    or the delta of the durable-recovery reconciliation path. *)
+type xfer = Full of Server.image | Delta of Server.delta
 
 type vsync = (Server.msg, Pobj.t, xfer) Vsync.t
 (** The concrete vsync instantiation every core layer shares. *)

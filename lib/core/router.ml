@@ -122,37 +122,41 @@ let template_key r tmpl =
   if List.for_all spec_ok (Template.specs tmpl) then Some (Buffer.contents buf)
   else None
 
+(* The sc-list memo key of a template: its structural signature, or
+   [None] when the lookup must bypass the cache. [Custom] strategies
+   may close over external state, so they never cache. *)
+let sc_key r tmpl =
+  match r.classing with
+  | Obj_class.Single_class | Obj_class.By_arity | Obj_class.By_head
+  | Obj_class.By_signature ->
+      template_key r tmpl
+  | Obj_class.Custom _ -> None
+
 (* Memoised candidate-class derivation. Raw sc-list only — [candidates]
    filters by currently-known classes, which is cheap and keeps the
-   cached value independent of anything but the universe. [Custom]
-   strategies may close over external state, so they bypass the cache. *)
-let sc_list r tmpl =
+   cached value independent of anything but the universe. *)
+let sc_list_keyed r key tmpl =
   let derive () = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
-  let cacheable =
-    match r.classing with
-    | Obj_class.Single_class | Obj_class.By_arity | Obj_class.By_head
-    | Obj_class.By_signature ->
-        true
-    | Obj_class.Custom _ -> false
-  in
-  if not cacheable then derive ()
-  else
-    match template_key r tmpl with
-    | None -> derive ()
-    | Some key -> (
-        match Hashtbl.find_opt r.sc_cache key with
-        | Some cached ->
-            Sim.Stats.incr_counter r.c_sc_hits;
-            cached
-        | None ->
-            Sim.Stats.incr_counter r.c_sc_misses;
-            let result = derive () in
-            Hashtbl.add r.sc_cache key result;
-            result)
+  match key with
+  | None -> derive ()
+  | Some key -> (
+      match Hashtbl.find_opt r.sc_cache key with
+      | Some cached ->
+          Sim.Stats.incr_counter r.c_sc_hits;
+          cached
+      | None ->
+          Sim.Stats.incr_counter r.c_sc_misses;
+          let result = derive () in
+          Hashtbl.add r.sc_cache key result;
+          result)
+
+let sc_list r tmpl = sc_list_keyed r (sc_key r tmpl) tmpl
 
 (* The classes an operation on [tmpl] visits: the memoised sc-list
    restricted to classes that exist here, in name order. *)
-let candidates r tmpl = sc_list r tmpl |> List.filter (Membership.knows r.mem)
+let candidates ?key r tmpl =
+  let key = match key with Some key -> key | None -> sc_key r tmpl in
+  sc_list_keyed r key tmpl |> List.filter (Membership.knows r.mem)
 
 (* --- read-group restriction --------------------------------------------- *)
 

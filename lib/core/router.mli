@@ -58,11 +58,17 @@ val sc_list : t -> Template.t -> string list
     closure with no serialisable identity. Raw sc-list only: see
     {!candidates} for the filtered list operations walk. *)
 
-val candidates : t -> Template.t -> string list
+val sc_key : t -> Template.t -> string option
+(** The template's {!sc_list} memo key, rendered once; [None] when the
+    lookup bypasses the cache. Routers configured with the same
+    classing strategy render the same key. *)
+
+val candidates : ?key:string option -> t -> Template.t -> string list
 (** The classes an operation on the template visits: {!sc_list}
     restricted to the classes currently known here, in name order.
     Reads, takes, snapshots and a waiter's markers all cover exactly
-    this list. *)
+    this list. [key], when given, is the template's {!sc_key} as
+    rendered by a router with the same classing strategy. *)
 
 val invalidate : t -> unit
 (** The class universe changed: drop the memoised universe and every

@@ -7,7 +7,9 @@ type msg =
 
 type marker = { mk_id : int; mk_machine : int; mk_tmpl : Template.t }
 
-type snapshot = (string * (Pobj.t list * marker list * Uid.t list)) list
+type 'a transfer = (string * ('a * marker list * Uid.t list)) list
+type snapshot = Pobj.t list transfer
+type image = Storage.t transfer
 
 type t = {
   machine : int;
@@ -135,26 +137,30 @@ let markers t ~cls = match Hashtbl.find_opt t.marks cls with Some r -> !r | None
 let marker_bytes ms =
   List.fold_left (fun acc m -> acc + 8 + Template.size m.mk_tmpl) 0 ms
 
-let snapshot t ~classes =
+(* One pass for both transfer forms: each class's part carries
+   [of_store] of its store, and the wire size is g(ℓ) of the objects
+   plus the class name, markers and tombstones, whatever the form. *)
+let transfer t ~classes of_store =
+  let bytes = ref 0 in
   let parts =
     List.map
       (fun cls ->
-        let objs =
-          match Hashtbl.find_opt t.stores cls with
-          | Some s -> s.Storage.to_list ()
-          | None -> []
-        in
-        (cls, (objs, markers t ~cls, tombstones t ~cls)))
+        let store = Hashtbl.find_opt t.stores cls in
+        let ms = markers t ~cls and ts = tombstones t ~cls in
+        let objs_bytes = match store with Some s -> s.Storage.bytes () | None -> 0 in
+        bytes :=
+          !bytes + String.length cls + objs_bytes + marker_bytes ms
+          + (Uid.size * List.length ts);
+        (cls, (of_store store, ms, ts)))
       (List.sort compare classes)
   in
-  let bytes =
-    List.fold_left
-      (fun acc (cls, (objs, ms, ts)) ->
-        acc + String.length cls + Storage.snapshot_bytes objs + marker_bytes ms
-        + (Uid.size * List.length ts))
-      0 parts
-  in
-  (parts, bytes)
+  (parts, !bytes)
+
+let snapshot t ~classes =
+  transfer t ~classes (function Some s -> s.Storage.to_list () | None -> [])
+
+let image t ~classes =
+  transfer t ~classes (function Some s -> s.Storage.copy () | None -> Store.create t.kind)
 
 (* --- delta state transfer (durable recovery reconciliation) ----------- *)
 
@@ -340,15 +346,22 @@ let reconcile_purge t ~cls uid =
           (Store.load t.kind
              (List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) (s.Storage.to_list ())))
 
-let install t snapshot =
-  List.iter
-    (fun (cls, (objs, ms, ts)) ->
-      Hashtbl.replace t.stores cls (Store.load t.kind objs);
-      Hashtbl.replace t.marks cls (ref ms);
+let install_part t (cls, (store, ms, ts)) =
+  Hashtbl.replace t.stores cls store;
+  Hashtbl.replace t.marks cls (ref ms);
+  match ts with
+  | [] -> Hashtbl.remove t.tombs cls
+  | ts ->
       let tbl = Uid.Tbl.create (max 16 (List.length ts)) in
       List.iter (fun u -> Uid.Tbl.replace tbl u ()) ts;
-      Hashtbl.replace t.tombs cls tbl)
+      Hashtbl.replace t.tombs cls tbl
+
+let install t snapshot =
+  List.iter
+    (fun (cls, (objs, ms, ts)) -> install_part t (cls, (Store.load t.kind objs, ms, ts)))
     snapshot
+
+let install_image t image = List.iter (install_part t) image
 
 let evict t ~cls =
   Hashtbl.remove t.stores cls;

@@ -18,11 +18,21 @@ type msg =
 
 type marker = { mk_id : int; mk_machine : int; mk_tmpl : Template.t }
 
-type snapshot = (string * (Pobj.t list * marker list * Uid.t list)) list
-(** Per-class object lists (insertion order), outstanding markers and
-    remove-tombstones. Markers are replicated state like the objects,
-    so they survive the crash of any ≤ λ members; tombstones travel
-    with every transfer so reconciliation verdicts survive too. *)
+type 'a transfer = (string * ('a * marker list * Uid.t list)) list
+(** Per-class state: the objects (in some form ['a]), outstanding
+    markers and remove-tombstones. Markers are replicated state like
+    the objects, so they survive the crash of any ≤ λ members;
+    tombstones travel with every transfer so reconciliation verdicts
+    survive too. *)
+
+type snapshot = Pobj.t list transfer
+(** Objects as lists in insertion order: the encodable form, for
+    durable checkpoints, WAL recovery and class migration. *)
+
+type image = Storage.t transfer
+(** Objects as copy-on-write store copies ({!Storage.t.copy}): the
+    join-time full transfer, installed without re-inserting a single
+    object. *)
 
 type t
 
@@ -60,9 +70,18 @@ val classes : t -> string list
 val snapshot : t -> classes:string list -> snapshot * int
 (** State-transfer snapshot of the given classes and its wire size. *)
 
+val image : t -> classes:string list -> image * int
+(** The same state as {!snapshot}, as an image independent of this
+    server's later mutations, and the same wire size g(ℓ): taking it
+    copies no object. *)
+
 val install : t -> snapshot -> unit
 (** Install a snapshot (replacing any existing stores for those
     classes), preserving insertion order. *)
+
+val install_image : t -> image -> unit
+(** Install an image, as {!install} does a snapshot. The server takes
+    the image's stores over, so an image is installed at most once. *)
 
 (** {1 Delta state transfer}
 

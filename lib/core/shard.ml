@@ -232,12 +232,15 @@ let now t = Array.fold_left (fun acc s -> Float.max acc (System.now s)) 0.0 t.sy
    sc-list over all classes that exist. The coordinator needs them only
    to route between shards and to pin classes against migration; a
    1-shard composition does neither (one owner, nothing can move), so
-   it skips the lookup and its stat bank stays that of a bare System. *)
+   it skips the lookup and its stat bank stays that of a bare System.
+   The shards share one classing strategy, so the template's memo key
+   is rendered once per op, not once per shard. *)
 let candidates t tmpl =
   if t.shards = 1 then []
   else
+    let key = System.sc_key t.sys.(0) tmpl in
     Array.fold_left
-      (fun acc s -> List.merge compare acc (System.candidates s tmpl))
+      (fun acc s -> List.merge compare acc (System.candidates ~key s tmpl))
       [] t.sys
 
 (* Owning shards in order of first candidate appearance: the global

@@ -14,6 +14,7 @@ type t = {
   size : unit -> int;
   bytes : unit -> int;
   to_list : unit -> Pobj.t list;
+  copy : unit -> t;
   cost : op_cost;
 }
 
@@ -44,5 +45,5 @@ let cost_of_kind = function
 
 let per_object_overhead = 8
 
-let snapshot_bytes objs =
-  List.fold_left (fun acc o -> acc + Pobj.size o + per_object_overhead) 0 objs
+let object_bytes o = Pobj.size o + per_object_overhead
+let snapshot_bytes objs = List.fold_left (fun acc o -> acc + object_bytes o) 0 objs

@@ -25,8 +25,16 @@ type t = {
   find : Template.t -> Pobj.t option;
   remove_oldest : Template.t -> Pobj.t option;
   size : unit -> int;  (** ℓ: number of live objects held *)
-  bytes : unit -> int;  (** g(ℓ): wire size of a state snapshot *)
+  bytes : unit -> int;
+      (** g(ℓ): wire size of a state snapshot, kept as a running total
+          ([= snapshot_bytes (to_list ())]) *)
   to_list : unit -> Pobj.t list;  (** in insertion order *)
+  copy : unit -> t;
+      (** An independent store with the same contents and insertion
+          order: mutating either side is invisible to the other. The
+          objects live in persistent maps, so the copy shares them
+          structurally and costs O(1) (plus a copy of the exact-tuple
+          hash index where the store keeps one). *)
   cost : op_cost;
 }
 
@@ -40,6 +48,9 @@ val cost_of_kind : kind -> op_cost
     scan in reality, which the simulator's work model approximates by
     the declared profile). *)
 
+val object_bytes : Pobj.t -> int
+(** One object's share of g(ℓ): its wire size plus a small framing
+    overhead. *)
+
 val snapshot_bytes : Pobj.t list -> int
-(** Shared definition of g(ℓ): per-object wire size plus a small
-    framing overhead. *)
+(** Shared definition of g(ℓ): the sum of {!object_bytes}. *)

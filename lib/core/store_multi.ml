@@ -1,71 +1,20 @@
 module Imap = Avl.Imap
-module Iset = Set.Make (Int)
 
 type state = {
   mutable items : Pobj.t Imap.t; (* seq -> object, the ground truth *)
-  exact : (string, Iset.t ref) Hashtbl.t; (* canonical tuple -> seqs *)
+  exact : Store_index.t; (* canonical tuple -> seqs *)
   mutable ordered : Avl.t; (* first field -> bucket *)
   mutable next_seq : int;
   mutable count : int; (* = Imap.cardinal items; size () is on the
                           per-operation cost path *)
+  mutable bytes : int; (* = Storage.snapshot_bytes (to_list ()) *)
 }
-
-(* Single buffer pass; renders identically to the obvious
-   [String.concat]-of-[List.map] (see Store_hash.canonical_fields). *)
-let canonical_fields fields =
-  let buf = Buffer.create 48 in
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Value.type_name v);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Value.to_string v))
-    fields;
-  Buffer.contents buf
-
-let canonical_obj o = canonical_fields (Pobj.fields o)
-
-let exact_key tmpl =
-  let rec all_eq acc = function
-    | [] -> Some (List.rev acc)
-    | Template.Eq v :: rest -> all_eq (v :: acc) rest
-    | (Template.Any | Template.Type_is _ | Template.Range _ | Template.Pred _) :: _ ->
-        None
-  in
-  Option.map canonical_fields (all_eq [] (Template.specs tmpl))
-
-let index_add state key seq =
-  match Hashtbl.find_opt state.exact key with
-  | Some set -> set := Iset.add seq !set
-  | None -> Hashtbl.add state.exact key (ref (Iset.singleton seq))
-
-let index_remove state key seq =
-  match Hashtbl.find_opt state.exact key with
-  | Some set ->
-      set := Iset.remove seq !set;
-      if Iset.is_empty !set then Hashtbl.remove state.exact key
-  | None -> ()
 
 (* Route a template to the cheapest index; each path yields the oldest
    full match. *)
 let lookup state tmpl =
-  match exact_key tmpl with
-  | Some key -> begin
-      match Hashtbl.find_opt state.exact key with
-      | Some set -> begin
-          let exception Found of int * Pobj.t in
-          match
-            Iset.iter
-              (fun seq ->
-                let o = Imap.find seq state.items in
-                if Template.matches tmpl o then raise_notrace (Found (seq, o)))
-              !set
-          with
-          | () -> None
-          | exception Found (seq, o) -> Some (seq, o)
-        end
-      | None -> None
-    end
+  match Store_index.key tmpl with
+  | Some key -> Store_index.oldest state.exact state.items tmpl key
   | None -> begin
       match Template.spec tmpl 0 with
       | Template.Eq v | Template.Range (v, _) -> begin
@@ -86,29 +35,24 @@ let lookup state tmpl =
             None
         end
       | Template.Any | Template.Type_is _ | Template.Pred _ ->
-          (* Insertion-order scan: the first match is the oldest. *)
-          let exception Found of int * Pobj.t in
-          (try
-             Imap.iter
-               (fun seq o -> if Template.matches tmpl o then raise (Found (seq, o)))
-               state.items;
-             None
-           with Found (seq, o) -> Some (seq, o))
+          Store_index.scan state.items tmpl
     end
 
-let make state =
+let rec make state =
   let insert o =
     let seq = state.next_seq in
     state.next_seq <- seq + 1;
     state.items <- Imap.add seq o state.items;
     state.count <- state.count + 1;
-    index_add state (canonical_obj o) seq;
+    state.bytes <- state.bytes + Storage.object_bytes o;
+    Store_index.add state.exact o seq;
     state.ordered <- Avl.add_item state.ordered (Pobj.field o 0) seq o
   in
   let remove_entry seq o =
     state.items <- Imap.remove seq state.items;
     state.count <- state.count - 1;
-    index_remove state (canonical_obj o) seq;
+    state.bytes <- state.bytes - Storage.object_bytes o;
+    Store_index.remove state.exact o seq;
     state.ordered <- Avl.remove_item state.ordered (Pobj.field o 0) seq
   in
   let find tmpl = Option.map snd (lookup state tmpl) in
@@ -120,8 +64,9 @@ let make state =
     | None -> None
   in
   let size () = state.count in
+  let bytes () = state.bytes in
   let to_list () = List.map snd (Imap.bindings state.items) in
-  let bytes () = Storage.snapshot_bytes (to_list ()) in
+  let copy () = make { state with exact = Store_index.copy state.exact } in
   {
     Storage.kind = Storage.Multi;
     insert;
@@ -130,6 +75,7 @@ let make state =
     size;
     bytes;
     to_list;
+    copy;
     cost = Storage.cost_of_kind Storage.Multi;
   }
 
@@ -137,10 +83,11 @@ let create () =
   make
     {
       items = Imap.empty;
-      exact = Hashtbl.create 64;
+      exact = Store_index.create ();
       ordered = Avl.empty;
       next_seq = 0;
       count = 0;
+      bytes = 0;
     }
 
 let load objs =

@@ -1,6 +1,11 @@
 module Imap = Avl.Imap
 
-type state = { mutable tree : Avl.t; mutable count : int; mutable next_seq : int }
+type state = {
+  mutable tree : Avl.t;
+  mutable count : int;
+  mutable next_seq : int;
+  mutable bytes : int; (* = Storage.snapshot_bytes (to_list ()) *)
+}
 
 (* Oldest (min-seq) fully-matching object among the buckets the
    template's first-field spec can touch. *)
@@ -22,12 +27,13 @@ let lookup state tmpl =
   in
   fold_candidates (fun _key bucket best -> best_in_bucket bucket best) None
 
-let make state =
+let rec make state =
   let insert o =
     let seq = state.next_seq in
     state.next_seq <- seq + 1;
     state.tree <- Avl.add_item state.tree (Pobj.field o 0) seq o;
-    state.count <- state.count + 1
+    state.count <- state.count + 1;
+    state.bytes <- state.bytes + Storage.object_bytes o
   in
   let find tmpl = Option.map snd (lookup state tmpl) in
   let remove_oldest tmpl =
@@ -35,6 +41,7 @@ let make state =
     | Some (seq, o) ->
         state.tree <- Avl.remove_item state.tree (Pobj.field o 0) seq;
         state.count <- state.count - 1;
+        state.bytes <- state.bytes - Storage.object_bytes o;
         Some o
     | None -> None
   in
@@ -46,7 +53,8 @@ let make state =
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
   in
-  let bytes () = Storage.snapshot_bytes (to_list ()) in
+  let bytes () = state.bytes in
+  let copy () = make { state with tree = state.tree } in
   {
     Storage.kind = Storage.Tree;
     insert;
@@ -55,10 +63,11 @@ let make state =
     size;
     bytes;
     to_list;
+    copy;
     cost = Storage.cost_of_kind Storage.Tree;
   }
 
-let create () = make { tree = Avl.empty; count = 0; next_seq = 0 }
+let create () = make { tree = Avl.empty; count = 0; next_seq = 0; bytes = 0 }
 
 let load objs =
   let store = create () in

@@ -44,7 +44,8 @@ let tracef t fmt = Sim.Trace.emitf t.strace ~time:(now t) ~tag:"paso" fmt
 
 let known_classes t = Router.universe t.router
 let sc_list t tmpl = Router.sc_list t.router tmpl
-let candidates t tmpl = Router.candidates t.router tmpl
+let sc_key t tmpl = Router.sc_key t.router tmpl
+let candidates ?key t tmpl = Router.candidates ?key t.router tmpl
 let class_of_obj t o = Router.class_of t.router o
 let basic_support t ~cls = Membership.basic_support t.mem ~cls
 let write_group t ~cls = Membership.write_group t.mem ~cls
@@ -624,10 +625,9 @@ let create ?(tracing = false) ?failpoints cfg =
   in
   let resp_size = function None -> 0 | Some o -> Pobj.size o in
   let state_of ~node ~group =
-    let snapshot, size =
-      Server.snapshot servers.(node) ~classes:(Membership.classes_of_group mem group)
-    in
-    (Membership.Full snapshot, size)
+    let classes = Membership.classes_of_group mem group in
+    let image, size = Server.image servers.(node) ~classes in
+    (Membership.Full image, size)
   in
   let state_delta ~node ~group ~joiner =
     match !tref with
@@ -639,7 +639,7 @@ let create ?(tracing = false) ?failpoints cfg =
   in
   let install_state ~node ~group:_ xfer =
     (match xfer with
-    | Membership.Full snapshot -> Server.install servers.(node) snapshot
+    | Membership.Full image -> Server.install_image servers.(node) image
     | Membership.Delta d -> Server.install_delta servers.(node) d);
     (* The durable image must follow the installed state, or a later
        replay would resurrect what the transfer superseded. *)

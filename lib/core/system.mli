@@ -382,10 +382,15 @@ val sc_list : t -> Template.t -> string list
     ["cache.sc_misses"]. Includes classes no longer (or not yet)
     known; {!candidates} filters to known classes. *)
 
-val candidates : t -> Template.t -> string list
+val sc_key : t -> Template.t -> string option
+(** The template's {!sc_list} memo key ({!Router.sc_key}). *)
+
+val candidates : ?key:string option -> t -> Template.t -> string list
 (** The classes a read, take or snapshot of the template visits here:
     {!sc_list} restricted to the classes this system currently knows,
-    sorted by name. *)
+    sorted by name. [key] is the template's {!sc_key} when the caller
+    already rendered it (Systems of one composition share a classing
+    strategy, so one rendering serves them all). *)
 
 val class_of_obj : t -> Pobj.t -> string
 

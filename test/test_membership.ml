@@ -10,6 +10,9 @@ type h = {
   stats : Sim.Stats.t;
   mem : Membership.t;
   vs : Membership.vsync;
+  servers : Server.t array;
+  on_image : (node:int -> unit) ref;
+      (* called at a donor right after it images its state for a join *)
 }
 
 (* λ = 1 so a two-member quorum lifts probation: the smallest setup in
@@ -28,6 +31,7 @@ let make ?(n = 6) ?(lambda = 1) () =
     Membership.create ~n ~lambda ~seed:7 ~use_read_groups:true ~group_map:None
       ~servers ~engine:eng ~stats ~trace
   in
+  let on_image = ref (fun ~node:_ -> ()) in
   let callbacks =
     {
       Vsync.deliver =
@@ -37,15 +41,15 @@ let make ?(n = 6) ?(lambda = 1) () =
       resp_size = (function None -> 0 | Some o -> Pobj.size o);
       state_of =
         (fun ~node ~group ->
-          let snapshot, size =
-            Server.snapshot servers.(node)
-              ~classes:(Membership.classes_of_group mem group)
+          let image, size =
+            Server.image servers.(node) ~classes:(Membership.classes_of_group mem group)
           in
-          (Membership.Full snapshot, size));
+          !on_image ~node;
+          (Membership.Full image, size));
       state_delta = (fun ~node:_ ~group:_ ~joiner:_ -> None);
       install_state =
         (fun ~node ~group:_ -> function
-          | Membership.Full s -> Server.install servers.(node) s
+          | Membership.Full image -> Server.install_image servers.(node) image
           | Membership.Delta d -> Server.install_delta servers.(node) d);
       on_view = (fun ~node:_ _ -> Membership.flush_probation mem);
       on_evict = (fun ~node:_ ~group:_ -> ());
@@ -54,7 +58,7 @@ let make ?(n = 6) ?(lambda = 1) () =
   in
   let vs = Vsync.make ~engine:eng ~fabric:bus ~stats ~trace ~n callbacks in
   Membership.attach_vsync mem vs;
-  { eng; stats; mem; vs }
+  { eng; stats; mem; vs; servers; on_image }
 
 let info name = { Obj_class.name; cls_arity = 2; head = Some (Value.Sym name) }
 
@@ -272,6 +276,58 @@ let test_schedule_rejoin () =
   Alcotest.(check bool) "rejoined its basic-support group" true
     (List.mem machine (Vsync.members h.vs ~group:cs.Membership.group))
 
+(* --- join-time state transfer ---------------------------------------------- *)
+
+let held h node =
+  match Server.snapshot h.servers.(node) ~classes:[ "t" ] with
+  | [ (_, (objs, _, _)) ], _ -> List.map (fun o -> (Pobj.uid o).Uid.serial) objs
+  | _ -> []
+
+(* The image a donor ships is its state at the join's exec instant: a
+   mutation that reaches the donor while the transfer is on the wire
+   must not leak into the joiner, and the donor must keep it. *)
+let test_image_frozen_at_exec () =
+  let h = make ~lambda:1 () in
+  let cs, _ = ensure h "t" in
+  let group = cs.Membership.group in
+  let members = Vsync.members h.vs ~group in
+  let donor = List.hd members in
+  let joiner =
+    List.find (fun m -> not (List.mem m members)) [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let put node serial =
+    ignore
+      (Server.handle h.servers.(node)
+         (Server.Store
+            {
+              cls = "t";
+              obj =
+                Pobj.make ~uid:(Uid.make ~machine:0 ~serial) [ Value.Sym "t"; Value.Int serial ];
+            }))
+  in
+  List.iter (fun m -> List.iter (put m) [ 1; 2; 3 ]) members;
+  let in_flight = ref false in
+  h.on_image :=
+    (fun ~node ->
+      if node = donor then
+        ignore
+          (Sim.Engine.schedule h.eng ~delay:0.0 (fun () ->
+               in_flight := not (List.mem joiner (Vsync.members h.vs ~group));
+               put donor 4;
+               ignore
+                 (Server.handle h.servers.(donor)
+                    (Server.Remove
+                       { cls = "t"; tmpl = Template.exact [ Value.Sym "t"; Value.Int 1 ] })))));
+  rejoin h group [ joiner ];
+  Alcotest.(check bool) "donor mutated while the transfer was on the wire" true !in_flight;
+  Alcotest.(check bool) "joined" true (List.mem joiner (Vsync.members h.vs ~group));
+  Alcotest.(check (list int)) "joiner installs the exec-time state" [ 1; 2; 3 ]
+    (held h joiner);
+  Alcotest.(check (list int)) "donor keeps its later mutations" [ 2; 3; 4 ] (held h donor);
+  (* Neither side shares a store with the other after the install. *)
+  put joiner 5;
+  Alcotest.(check (list int)) "donor unaffected by the joiner" [ 2; 3; 4 ] (held h donor)
+
 let () =
   Alcotest.run "membership"
     [
@@ -298,5 +354,7 @@ let () =
           Alcotest.test_case "dead issuer not resumed" `Quick
             test_dead_issuer_not_resumed;
           Alcotest.test_case "schedule_rejoin" `Quick test_schedule_rejoin;
+          Alcotest.test_case "join installs the exec-time image" `Quick
+            test_image_frozen_at_exec;
         ] );
     ]

@@ -167,6 +167,93 @@ let prop_store_equivalence =
       let l = run Storage.Linear and m = run Storage.Multi in
       h = t && t = l && l = m)
 
+(* Copy independence: after [copy ()], the original and the copy each
+   behave exactly like a fresh store loaded from the original's contents
+   and fed the same ops, whatever the other side does meanwhile — and
+   every store's running [bytes] total stays g(ℓ) of its contents. *)
+let prop_copy_independent =
+  let open QCheck2 in
+  let gen_spec =
+    Gen.(
+      oneof
+        [
+          return `Any;
+          map (fun v -> `Eq (v mod 4)) small_nat;
+          map (fun v -> `Range (v mod 4)) small_nat;
+        ])
+  in
+  let gen_op =
+    Gen.(
+      oneof
+        [
+          map (fun (h, v) -> `Insert (h mod 3, v mod 4)) (pair small_nat small_nat);
+          map (fun (h, sp) -> `Find (h mod 3, sp)) (pair small_nat gen_spec);
+          map (fun (h, sp) -> `Remove (h mod 3, sp)) (pair small_nat gen_spec);
+        ])
+  in
+  let ops = Gen.list_size (Gen.int_range 0 40) gen_op in
+  Test.make ~name:"copy () is independent and behaves like a reload" ~count:200
+    Gen.(triple ops ops ops)
+    (fun (prefix, ops_a, ops_b) ->
+      let heads = [| "a"; "b"; "c" |] in
+      let serial = ref 0 in
+      let tmpl h sp =
+        Template.make
+          [
+            Template.Eq (vs heads.(h));
+            (match sp with
+            | `Any -> Template.Any
+            | `Eq v -> Template.Eq (vi v)
+            | `Range v -> Template.Range (vi v, vi (v + 1)));
+          ]
+      in
+      let uids = List.map Pobj.uid in
+      let bytes_ok s = s.Storage.bytes () = Storage.snapshot_bytes (s.Storage.to_list ()) in
+      (* Apply one op to a store and its reference; true iff both answer
+         alike and both keep the bytes invariant. *)
+      let step (s, r) op =
+        let same =
+          match op with
+          | `Insert (h, v) ->
+              incr serial;
+              let o = Pobj.make ~uid:(Uid.make ~machine:9 ~serial:!serial) [ vs heads.(h); vi v ] in
+              s.Storage.insert o;
+              r.Storage.insert o;
+              true
+          | `Find (h, sp) ->
+              Option.map Pobj.uid (s.Storage.find (tmpl h sp))
+              = Option.map Pobj.uid (r.Storage.find (tmpl h sp))
+          | `Remove (h, sp) ->
+              Option.map Pobj.uid (s.Storage.remove_oldest (tmpl h sp))
+              = Option.map Pobj.uid (r.Storage.remove_oldest (tmpl h sp))
+        in
+        same
+        && uids (s.Storage.to_list ()) = uids (r.Storage.to_list ())
+        && s.Storage.size () = r.Storage.size ()
+        && bytes_ok s && bytes_ok r
+      in
+      let rec interleave a b acc =
+        match (a, b) with
+        | [], [] -> acc
+        | x :: a, [] -> interleave a [] (`A x :: acc)
+        | [], y :: b -> interleave [] b (`B y :: acc)
+        | x :: a, y :: b -> interleave a b (`B y :: `A x :: acc)
+      in
+      List.for_all
+        (fun (_, kind) ->
+          let s = Store.create kind in
+          let twin = Store.create kind in
+          List.for_all (fun op -> step (s, twin) op) prefix
+          &&
+          let c = s.Storage.copy () in
+          let base = s.Storage.to_list () in
+          let side_a = (s, Store.load kind base) and side_b = (c, Store.load kind base) in
+          bytes_ok c
+          && List.for_all
+               (function `A op -> step side_a op | `B op -> step side_b op)
+               (List.rev (interleave ops_a ops_b [])))
+        kinds)
+
 let test_multi_routing () =
   let s = Store.create Storage.Multi in
   List.iter (fun i -> s.Storage.insert (obj [ vi i; vs "row" ])) [ 3; 1; 7; 5 ];
@@ -237,6 +324,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_store_equivalence;
+          QCheck_alcotest.to_alcotest prop_copy_independent;
           QCheck_alcotest.to_alcotest prop_tree_balanced_big;
         ] );
     ]
